@@ -12,13 +12,15 @@
 # wavelet determinism, and the fused-cascade no-slowdown perf gate),
 # and the netsim smoke (replica-sharded network-simulator stdout
 # byte-identical at any worker count, the x-buffer-sizing gap report,
-# and the superpose-vs-merge >= 3x perf gate both ways).
+# and the superpose-vs-merge >= 3x perf gate both ways), and the
+# benchmark's own unit tests (perfbench-test).
 .PHONY: check build test test-gof test-telemetry smoke bench bench-smoke \
   perf-smoke stream-smoke serve-smoke farm-smoke wavelet-smoke obs-smoke \
-  netsim-smoke
+  netsim-smoke perfbench-test
 
 check: build test test-gof test-telemetry smoke bench-smoke perf-smoke \
-  stream-smoke serve-smoke farm-smoke wavelet-smoke obs-smoke netsim-smoke
+  stream-smoke serve-smoke farm-smoke wavelet-smoke obs-smoke netsim-smoke \
+  perfbench-test
 
 build:
 	dune build
@@ -254,8 +256,7 @@ obs-smoke:
 	  2>/dev/null > _build/obs_smoke_w2.txt
 	diff _build/obs_smoke_w1.txt _build/obs_smoke_w2.txt
 	diff _build/obs_smoke_w1.txt _build/obs_smoke_w3.txt
-	! $(OBS_SMOKE_FARM) --workers 3 --inject-stall 1 \
-	  --heartbeat 0.2 --stall-timeout 1 \
+	! $(OBS_SMOKE_FARM) --workers 3 --inject-stall 1 --stall-timeout 1 \
 	  2> _build/obs_smoke_stall.err > _build/obs_smoke_stall.txt
 	test ! -s _build/obs_smoke_stall.txt
 	grep -q 'farm.worker_stalled' _build/obs_smoke_stall.err
@@ -317,6 +318,12 @@ netsim-smoke:
 	  _build/perf_sp.jsonl _build/perf_sp_merge.jsonl
 	@echo "netsim-smoke: workers-determinism, the buffer-sizing gap, and"
 	@echo "netsim-smoke: the superpose-vs-merge perf gate all hold"
+
+# The benchmark harness's unit tests: statistics helpers, the proof
+# script, and the farm/netsim CLI stdout compared byte for byte with
+# the in-process run_inline reference (test_two_seeds).
+perfbench-test: build
+	python3 -m unittest discover -s perfbench
 
 # Full registry, timing each experiment (default --jobs: one per core).
 bench:

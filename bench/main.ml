@@ -50,15 +50,6 @@ let rec mkdirs d =
     (try Sys.mkdir d 0o755 with Sys_error _ -> ())
   end
 
-let check_writable_file path =
-  (* Open without truncating: the probe must not destroy an existing
-     file when a later step fails. *)
-  match open_out_gen [ Open_wronly; Open_creat ] 0o644 path with
-  | oc ->
-    close_out_noerr oc;
-    Ok ()
-  | exception Sys_error msg -> Error (Printf.sprintf "cannot write %s" msg)
-
 let check_writable_dir dir =
   mkdirs dir;
   let probe = Filename.concat dir ".write-probe" in
@@ -76,7 +67,7 @@ let preflight (c : Engine.Cli.config) =
      | Some d -> [ check_writable_dir d ]
      | None -> [])
     @ List.filter_map
-        (Option.map check_writable_file)
+        (Option.map Engine.Cli.check_writable_file)
         [ c.trace; c.log; c.report_html; c.record ]
   in
   match List.find_opt Result.is_error targets with

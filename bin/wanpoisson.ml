@@ -11,14 +11,6 @@
 
 open Cmdliner
 
-(* Fail fast, and with the offending path, before any work runs. *)
-let check_writable_file path =
-  match open_out_gen [ Open_wronly; Open_creat ] 0o644 path with
-  | oc ->
-    close_out_noerr oc;
-    Ok ()
-  | exception Sys_error msg -> Error (Printf.sprintf "cannot write %s" msg)
-
 let fmt_of_out = function
   | None -> Format.std_formatter
   | Some path ->
@@ -34,6 +26,117 @@ let jobs_arg ~default ~doc =
 
 let check_jobs jobs =
   if jobs < 1 then Some "--jobs must be at least 1" else None
+
+(* The one --workers term of the multi-process commands. *)
+let workers_arg =
+  Arg.(value & opt int (Engine.Pool.default_jobs ())
+       & info [ "w"; "workers" ] ~docv:"N"
+           ~doc:"Worker processes (default: one per core); stdout is \
+                 byte-identical at any value")
+
+(* The closing stderr line: wall time and peak RSS since [t0]. *)
+let eprint_wall ?workers t0 =
+  let wall = Unix.gettimeofday () -. t0 in
+  let prefix =
+    match workers with Some w -> Printf.sprintf "workers %d, " w | None -> ""
+  in
+  match Engine.Procstat.peak_rss_kb () with
+  | Some kb -> Printf.eprintf "%swall %.2f s, peak RSS %d kB\n" prefix wall kb
+  | None -> Printf.eprintf "%swall %.2f s\n" prefix wall
+
+let write_file path text =
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc text)
+
+(* ---------------- shared: observability flags ---------------- *)
+
+(* The --metrics / --trace / --log block of run and farm. *)
+type obs = { metrics : bool; trace : string option; log : string option }
+
+let obs_term =
+  let metrics =
+    Arg.(value & flag & info [ "metrics" ]
+           ~doc:"Record telemetry; print the span/counter summary (and, for \
+                 $(b,farm), the per-worker table) to stderr")
+  in
+  let trace =
+    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
+           ~doc:"Record telemetry; write Chrome trace-event JSON to $(docv) \
+                 — for $(b,farm), one merged trace with a lane per worker \
+                 (load in chrome://tracing or Perfetto)")
+  in
+  let log =
+    Arg.(value & opt (some string) None & info [ "log" ] ~docv:"FILE"
+           ~doc:"Record structured events; stream JSONL to $(docv) (farm \
+                 worker events arrive with worker attribution)")
+  in
+  Term.(const (fun metrics trace log -> { metrics; trace; log })
+        $ metrics $ trace $ log)
+
+(* Preflight every output path (the flags' and the command's [paths])
+   before any work, naming the first unwritable one; enable telemetry
+   and logging as the flags — or the command, through [telemetry] and
+   [logging] — ask; run [f]; tear down. *)
+let with_obs ?(paths = []) ?(telemetry = false) ?(logging = false)
+    ?(level = Engine.Log.Info) o f =
+  match
+    List.find_map
+      (fun p ->
+        match Option.map Engine.Cli.check_writable_file p with
+        | Some (Error msg) -> Some msg
+        | _ -> None)
+      (o.trace :: o.log :: paths)
+  with
+  | Some msg -> Error msg
+  | None ->
+    let telemetry = telemetry || o.metrics || o.trace <> None in
+    let logging = logging || o.metrics || o.log <> None in
+    if telemetry then begin
+      Engine.Telemetry.set_enabled true;
+      Engine.Telemetry.reset ()
+    end;
+    if logging then begin
+      Engine.Log.set_enabled true;
+      Engine.Log.reset ();
+      Engine.Log.set_level level;
+      Option.iter
+        (fun path ->
+          match Engine.Log.open_file path with
+          | Ok () -> ()
+          | Error msg ->
+            prerr_endline ("cannot write " ^ msg);
+            exit 2)
+        o.log
+    end;
+    Fun.protect
+      ~finally:(fun () ->
+        if logging then begin
+          Engine.Log.close_file ();
+          Engine.Log.set_enabled false
+        end;
+        if telemetry then Engine.Telemetry.set_enabled false)
+      (fun () -> Ok (f ()))
+
+(* The end-of-run half: the --metrics summary, then the command's own
+   rows ([extra]), and the --trace file ([lanes]: one per process). *)
+let obs_report ?(extra = ignore) ?lanes o =
+  if o.metrics then begin
+    Engine.Telemetry.pp_summary Format.err_formatter;
+    extra ()
+  end;
+  Option.iter
+    (fun path ->
+      write_file path
+        (match lanes with
+        | None -> Engine.Telemetry.to_chrome_trace ()
+        | Some l -> Engine.Telemetry.to_chrome_trace_multi (l ()));
+      Printf.eprintf "chrome trace written to %s\n%!" path)
+    o.trace
+
+let eprint_warnings () =
+  List.iter
+    (fun ev -> Format.eprintf "%a@." Engine.Log.pp_event ev)
+    (Engine.Log.warnings ())
 
 (* ---------------- list ---------------- *)
 
@@ -65,19 +168,6 @@ let run_cmd =
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"S"
            ~doc:"Root seed for per-experiment RNG streams")
   in
-  let metrics_arg =
-    Arg.(value & flag & info [ "metrics" ]
-           ~doc:"Record telemetry; print the span/counter summary to stderr")
-  in
-  let trace_arg =
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Record telemetry; write Chrome trace-event JSON to $(docv) \
-                 (load in chrome://tracing or Perfetto)")
-  in
-  let log_arg =
-    Arg.(value & opt (some string) None & info [ "log" ] ~docv:"FILE"
-           ~doc:"Record structured events; stream JSONL to $(docv)")
-  in
   let log_level_arg =
     Arg.(value & opt string "info" & info [ "log-level" ] ~docv:"LVL"
            ~doc:"Minimum level recorded: debug, info, warn, error")
@@ -86,134 +176,64 @@ let run_cmd =
     Arg.(value & opt (some string) None & info [ "report-html" ] ~docv:"FILE"
            ~doc:"Write a self-contained HTML run report to $(docv)")
   in
-  let run id jobs seed out metrics trace log log_level report_html =
-    match check_jobs jobs with
-    | Some e -> `Error (false, e)
-    | None ->
-    begin
-      match Engine.Log.level_of_string log_level with
-      | None ->
-        `Error
-          ( false,
-            Printf.sprintf
-              "unknown log level %S (want debug, info, warn or error)"
-              log_level )
-      | Some level -> (
-        let tasks =
-          if id = "all" then Some (Core.Registry.tasks ())
-          else
-            Option.map
-              (fun e -> [ Core.Registry.task e ])
-              (Core.Registry.find id)
-        in
-        match tasks with
-        | None -> `Error (false, "unknown experiment id " ^ id)
-        | Some tasks -> (
-          let preflight =
-            List.fold_left
-              (fun acc p ->
-                match (acc, p) with
-                | Error _, _ -> acc
-                | Ok (), Some path -> check_writable_file path
-                | Ok (), None -> acc)
-              (Ok ())
-              [ trace; log; report_html ]
-          in
-          match preflight with
-          | Error msg -> `Error (false, msg)
-          | Ok () ->
-            let telemetry = metrics || trace <> None || report_html <> None in
-            if telemetry then begin
-              Engine.Telemetry.set_enabled true;
-              Engine.Telemetry.reset ()
-            end;
-            let logging = log <> None || metrics || report_html <> None in
-            if logging then begin
-              Engine.Log.set_enabled true;
-              Engine.Log.reset ();
-              Engine.Log.set_level level;
-              Option.iter
-                (fun path ->
-                  match Engine.Log.open_file path with
-                  | Ok () -> ()
-                  | Error msg ->
-                    prerr_endline ("cannot write " ^ msg);
-                    exit 2)
-                log
-            end;
+  let run id jobs seed out o log_level report_html =
+    let tasks =
+      if id = "all" then Some (Core.Registry.tasks ())
+      else Option.map (fun e -> [ Core.Registry.task e ]) (Core.Registry.find id)
+    in
+    match (check_jobs jobs, Engine.Log.level_of_string log_level, tasks) with
+    | Some e, _, _ -> `Error (false, e)
+    | None, None, _ ->
+      `Error
+        ( false,
+          Printf.sprintf "unknown log level %S (want debug, info, warn or error)"
+            log_level )
+    | None, _, None -> `Error (false, "unknown experiment id " ^ id)
+    | None, Some level, Some tasks -> (
+      let html = report_html <> None in
+      match
+        with_obs o ~paths:[ report_html ] ~telemetry:html ~logging:html ~level
+          (fun () ->
             let fmt = fmt_of_out out in
             let t0 = Unix.gettimeofday () in
-            let results =
-              Engine.Pool.run ~jobs ~seed ~figures:(report_html <> None) tasks
-            in
+            let results = Engine.Pool.run ~jobs ~seed ~figures:html tasks in
             let total = Unix.gettimeofday () -. t0 in
-            let artifacts = ref [] in
-            let failed =
-              List.concat_map
-                (function
-                  | Ok (a : Engine.Artifact.t) ->
-                    artifacts := a :: !artifacts;
-                    Format.pp_print_string fmt a.text;
-                    []
-                  | Error exn -> [ Printexc.to_string exn ])
-                results
-            in
-            let artifacts = List.rev !artifacts in
+            let artifacts = List.filter_map Result.to_option results in
+            List.iter
+              (fun (a : Engine.Artifact.t) -> Format.pp_print_string fmt a.text)
+              artifacts;
             Format.pp_print_flush fmt ();
-            if metrics then begin
-              Engine.Telemetry.pp_summary Format.err_formatter;
-              List.iter
-                (fun ev ->
-                  Format.eprintf "%a@." Engine.Log.pp_event ev)
-                (Engine.Log.warnings ())
-            end;
-            Option.iter
-              (fun path ->
-                let oc = open_out path in
-                Fun.protect
-                  ~finally:(fun () -> close_out_noerr oc)
-                  (fun () ->
-                    output_string oc (Engine.Telemetry.to_chrome_trace ()));
-                Printf.eprintf "chrome trace written to %s\n%!" path)
-              trace;
+            obs_report o ~extra:eprint_warnings;
             Option.iter
               (fun path ->
                 let manifest =
-                  Engine.Manifest.of_run
-                    ~created_at:(Unix.gettimeofday ()) ~seed ~jobs
-                    ~total_s:total artifacts
+                  Engine.Manifest.of_run ~created_at:(Unix.gettimeofday ())
+                    ~seed ~jobs ~total_s:total artifacts
                 in
-                let html =
-                  Engine.Report_html.render ~manifest
-                    ~log_events:(Engine.Log.events ())
-                    ~title:("wanpoisson run " ^ id)
-                    ~build:(Engine.Build_info.describe ()) ~seed ~jobs
-                    ~total_s:total ~artifacts
-                    ~events:(Engine.Telemetry.events ())
-                    ~counters:(Engine.Telemetry.counters ()) ()
-                in
-                let oc = open_out path in
-                Fun.protect
-                  ~finally:(fun () -> close_out_noerr oc)
-                  (fun () -> output_string oc html);
+                write_file path
+                  (Engine.Report_html.render ~manifest
+                     ~log_events:(Engine.Log.events ())
+                     ~title:("wanpoisson run " ^ id)
+                     ~build:(Engine.Build_info.describe ()) ~seed ~jobs
+                     ~total_s:total ~artifacts
+                     ~events:(Engine.Telemetry.events ())
+                     ~counters:(Engine.Telemetry.counters ()) ());
                 Printf.eprintf "HTML report written to %s\n%!" path)
               report_html;
-            if logging then begin
-              Engine.Log.close_file ();
-              Engine.Log.set_enabled false
-            end;
-            if telemetry then Engine.Telemetry.set_enabled false;
-            (match failed with
-             | [] -> `Ok ()
-             | msgs -> `Error (false, String.concat "; " msgs))))
-    end
+            List.filter_map
+              (function Ok _ -> None | Error exn -> Some (Printexc.to_string exn))
+              results)
+      with
+      | Error msg -> `Error (false, msg)
+      | Ok [] -> `Ok ()
+      | Ok msgs -> `Error (false, String.concat "; " msgs))
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Regenerate a table, figure, or in-text experiment")
     Term.(
       ret
-        (const run $ id_arg $ jobs_arg $ seed_arg $ out_arg $ metrics_arg
-       $ trace_arg $ log_arg $ log_level_arg $ report_html_arg))
+        (const run $ id_arg $ jobs_arg $ seed_arg $ out_arg $ obs_term
+       $ log_level_arg $ report_html_arg))
 
 (* ---------------- gen ---------------- *)
 
@@ -467,8 +487,6 @@ let hurst_cmd =
 
 (* ---------------- stream ---------------- *)
 
-let peak_rss_kb = Engine.Procstat.peak_rss_kb
-
 let stream_cmd =
   let model_arg =
     Arg.(value & opt string "poisson" & info [ "model" ] ~docv:"MODEL"
@@ -534,10 +552,7 @@ let stream_cmd =
       | result ->
         Core.Streaming.pp Format.std_formatter spec result;
         Format.pp_print_flush Format.std_formatter ();
-        let wall = Unix.gettimeofday () -. t0 in
-        (match peak_rss_kb () with
-         | Some kb -> Printf.eprintf "wall %.2f s, peak RSS %d kB\n" wall kb
-         | None -> Printf.eprintf "wall %.2f s\n" wall);
+        eprint_wall t0;
         `Ok ()
     end
   in
@@ -581,11 +596,6 @@ let farm_cmd =
            ~doc:"Root RNG seed (default 42); stdout is byte-identical \
                  for a fixed seed at any $(b,--workers)")
   in
-  let workers_arg =
-    Arg.(value & opt int (Engine.Pool.default_jobs ())
-         & info [ "w"; "workers" ] ~docv:"N"
-             ~doc:"Worker processes (default: one per core)")
-  in
   let shards_arg =
     Arg.(value & opt int Core.Farm.default.Core.Farm.shards
          & info [ "shards" ] ~docv:"N"
@@ -604,25 +614,6 @@ let farm_cmd =
                  frames) after its first completed macro-shard; the \
                  missed-heartbeat deadline must catch it (-1 = off)")
   in
-  let metrics_arg =
-    Arg.(value & flag & info [ "metrics" ]
-           ~doc:"Roll worker telemetry counters up to the coordinator and \
-                 print the unified counter summary plus the per-worker \
-                 table to stderr")
-  in
-  let trace_arg =
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Ship worker span tables back and write one merged Chrome \
-                 trace-event JSON to $(docv): a pid lane per worker plus \
-                 the coordinator's drain/absorb/merge lane (load in \
-                 chrome://tracing or Perfetto)")
-  in
-  let log_arg =
-    Arg.(value & opt (some string) None & info [ "log" ] ~docv:"FILE"
-           ~doc:"Stream structured JSONL events to $(docv); worker events \
-                 are shipped to the coordinator and re-emitted with \
-                 worker attribution, one totally-ordered stream")
-  in
   let out_arg =
     Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE"
            ~doc:"Write a farm-aware run.json manifest to $(docv): report \
@@ -634,131 +625,75 @@ let farm_cmd =
            ~doc:"Rewrite a live aggregate progress line on stderr from \
                  worker heartbeats; stdout is unaffected")
   in
-  let heartbeat_arg =
-    Arg.(value & opt float Core.Farm.default.Core.Farm.heartbeat_s
-         & info [ "heartbeat" ] ~docv:"SECONDS"
-             ~doc:"Worker heartbeat period (0 disables; default 1)")
-  in
   let stall_timeout_arg =
-    Arg.(value & opt float Core.Farm.default.Core.Farm.stall_timeout_s
+    Arg.(value & opt float Engine.Job.default_opts.stall_timeout_s
          & info [ "stall-timeout" ] ~docv:"SECONDS"
              ~doc:"Declare a worker stalled after this long without any \
                    frame, log $(b,farm.worker_stalled), SIGKILL it and \
-                   fail the run (0 disables; default 30)")
+                   fail the run (0 disables; default 30). Workers beat \
+                   every min(1 s, $(docv)/4)")
   in
   let run model events rate bin chunk seed workers shards inject_crash
-      inject_stall metrics trace log out progress heartbeat stall_timeout =
-    if workers < 1 then `Error (false, "--workers must be at least 1")
-    else begin
-      (* Fail before any worker spawns, naming the offending path. *)
-      List.iter
-        (Option.iter (fun path ->
-             match check_writable_file path with
-             | Ok () -> ()
-             | Error msg ->
-               prerr_endline msg;
-               exit 2))
-        [ trace; log; out ];
-      Engine.Log.set_enabled true;
-      Engine.Log.reset ();
-      Option.iter
-        (fun path ->
-          match Engine.Log.open_file path with
-          | Ok () -> ()
-          | Error msg ->
-            prerr_endline ("cannot write " ^ msg);
-            exit 2)
-        log;
-      if metrics || trace <> None then begin
-        Engine.Telemetry.set_enabled true;
-        Engine.Telemetry.reset ()
-      end;
-      let spec =
-        { Core.Farm.default with
-          model; events; rate; bin; chunk; seed; workers; shards;
-          inject_crash; inject_stall; metrics; trace = trace <> None;
-          logs = log <> None; heartbeat_s = heartbeat;
-          stall_timeout_s = stall_timeout; progress }
-      in
-      let t0 = Unix.gettimeofday () in
-      match Core.Farm.run ~exe:Sys.executable_name spec with
-      | exception Invalid_argument e -> `Error (false, e)
-      | Error e ->
-        List.iter
-          (fun ev -> Format.eprintf "%a@." Engine.Log.pp_event ev)
-          (Engine.Log.warnings ());
-        Engine.Log.close_file ();
-        Printf.eprintf "farm failed: %s\n%!" e;
-        exit 1
-      | Ok (result, obs) ->
-        (* Render once: the same bytes go to stdout and, hashed, into
-           the manifest — byte-identical at any worker count. *)
-        let report =
-          Format.asprintf "%a"
-            (fun fmt () -> Core.Farm.pp fmt spec result)
-            ()
-        in
-        print_string report;
-        flush stdout;
-        let wall = Unix.gettimeofday () -. t0 in
-        if metrics then begin
-          Engine.Telemetry.pp_summary Format.err_formatter;
-          List.iter
-            (fun (w : Core.Farm.worker_report) ->
-              Printf.eprintf
-                "  worker %d: %s%s, %d events, %d shards, %.2f s, rss %d kB\n"
-                w.Core.Farm.w_index w.Core.Farm.w_status
-                (if w.Core.Farm.w_stalled then " (stalled)" else "")
-                w.Core.Farm.w_events w.Core.Farm.w_shards w.Core.Farm.w_wall_s
-                w.Core.Farm.w_rss_kb)
-            obs.Core.Farm.o_workers;
-          flush stderr
-        end;
-        Option.iter
-          (fun path ->
-            let oc = open_out path in
-            Fun.protect
-              ~finally:(fun () -> close_out_noerr oc)
-              (fun () ->
-                output_string oc
-                  (Engine.Telemetry.to_chrome_trace_multi
-                     (Core.Farm.trace_processes obs)));
-            Printf.eprintf "chrome trace written to %s\n%!" path)
-          trace;
-        Option.iter
-          (fun path ->
-            let farm_workers =
-              List.map
-                (fun (w : Core.Farm.worker_report) ->
-                  { Engine.Manifest.wk_index = w.Core.Farm.w_index;
-                    wk_status = w.Core.Farm.w_status;
-                    wk_events = w.Core.Farm.w_events;
-                    wk_shards = w.Core.Farm.w_shards;
-                    wk_wall_s = w.Core.Farm.w_wall_s;
-                    wk_rss_kb = w.Core.Farm.w_rss_kb;
-                    wk_stalled = w.Core.Farm.w_stalled })
-                obs.Core.Farm.o_workers
-            in
-            let art =
-              { Engine.Artifact.id = "farm"; title = "farm report";
-                text = report; figures = []; duration_s = wall; metrics = [] }
-            in
-            let manifest =
-              Engine.Manifest.of_run ~farm_workers
-                ~created_at:(Unix.gettimeofday ()) ~seed ~jobs:workers
-                ~total_s:wall [ art ]
-            in
-            Engine.Manifest.write ~path manifest;
-            Printf.eprintf "manifest written to %s\n%!" path)
-          out;
-        Engine.Log.close_file ();
-        (match peak_rss_kb () with
-         | Some kb ->
-           Printf.eprintf "workers %d, wall %.2f s, peak RSS %d kB\n" workers
-             wall kb
-         | None -> Printf.eprintf "workers %d, wall %.2f s\n" workers wall);
-        `Ok ()
-    end
+      inject_stall o out progress stall_timeout =
+    let spec =
+      { Core.Farm.default with model; events; rate; bin; chunk; seed; workers; shards }
+    in
+    let opts =
+      { Engine.Job.metrics = o.metrics; trace = o.trace <> None;
+        logs = o.log <> None; stall_timeout_s = stall_timeout; progress;
+        inject_crash; inject_stall }
+    in
+    let t0 = Unix.gettimeofday () in
+    match
+      with_obs o ~paths:[ out ] ~logging:true (fun () ->
+          match Core.Farm.run ~exe:Sys.executable_name ~opts spec with
+          | exception Invalid_argument e -> `Error (false, e)
+          | Error e ->
+            eprint_warnings ();
+            `Failed e
+          | Ok (result, obs) ->
+            (* Render once: the same bytes go to stdout and, hashed, into
+               the manifest — byte-identical at any worker count. *)
+            let report = Format.asprintf "%a" (fun fmt () -> Core.Farm.pp fmt spec result) () in
+            print_string report;
+            flush stdout;
+            let wall = Unix.gettimeofday () -. t0 in
+            obs_report o
+              ~lanes:(fun () -> Engine.Job.trace_processes obs)
+              ~extra:(fun () ->
+                List.iter
+                  (fun (w : Engine.Manifest.worker_entry) ->
+                    Printf.eprintf
+                      "  worker %d: %s%s, %d events, %d shards, %.2f s, rss %d kB\n"
+                      w.wk_index w.wk_status
+                      (if w.wk_stalled then " (stalled)" else "")
+                      w.wk_events w.wk_shards w.wk_wall_s w.wk_rss_kb)
+                  obs.o_workers;
+                flush stderr);
+            Option.iter
+              (fun path ->
+                let art =
+                  { Engine.Artifact.id = "farm"; title = "farm report";
+                    text = report; figures = []; duration_s = wall; metrics = [] }
+                in
+                Engine.Manifest.write ~path
+                  (Engine.Manifest.of_run ~farm_workers:obs.o_workers
+                     ~created_at:(Unix.gettimeofday ()) ~seed ~jobs:workers
+                     ~total_s:wall [ art ]);
+                Printf.eprintf "manifest written to %s\n%!" path)
+              out;
+            `Ok ())
+    with
+    | Error msg ->
+      prerr_endline msg;
+      exit 2
+    | Ok (`Failed e) ->
+      Printf.eprintf "farm failed: %s\n%!" e;
+      exit 1
+    | Ok (`Error _ as e) -> e
+    | Ok (`Ok ()) ->
+      eprint_wall ~workers t0;
+      `Ok ()
   in
   Cmd.v
     (Cmd.info "farm"
@@ -771,9 +706,8 @@ let farm_cmd =
     Term.(ret
             (const run $ model_arg $ events_arg $ rate_arg $ bin_arg
              $ chunk_arg $ seed_arg $ workers_arg $ shards_arg
-             $ inject_crash_arg $ inject_stall_arg $ metrics_arg $ trace_arg
-             $ log_arg $ out_arg $ progress_arg $ heartbeat_arg
-             $ stall_timeout_arg))
+             $ inject_crash_arg $ inject_stall_arg $ obs_term $ out_arg
+             $ progress_arg $ stall_timeout_arg))
 
 (* ---------------- netsim ---------------- *)
 
@@ -857,11 +791,6 @@ let netsim_cmd =
              ~doc:"Root RNG seed (default 42); stdout is byte-identical \
                    for a fixed seed at any $(b,--workers)")
   in
-  let workers_arg =
-    Arg.(value & opt int 1
-         & info [ "w"; "workers" ] ~docv:"N"
-             ~doc:"Worker processes (default 1; 1 runs in-process)")
-  in
   let run model events replicas sources beta mean_period on_rate rate load
       topology discipline buffer chunk seed workers =
     let spec =
@@ -870,31 +799,26 @@ let netsim_cmd =
         workers }
     in
     let t0 = Unix.gettimeofday () in
-    let result =
-      if workers <= 1 then
-        match Core.Netsim.run_inline spec with
-        | r -> Ok r
-        | exception Invalid_argument e -> Error (`Spec e)
-      else
-        match Core.Netsim.run ~exe:Sys.executable_name spec with
-        | Ok r -> Ok r
-        | Error e -> Error (`Run e)
-        | exception Invalid_argument e -> Error (`Spec e)
-    in
-    match result with
-    | Error (`Spec e) -> `Error (false, e)
-    | Error (`Run e) ->
+    let no_flags = { metrics = false; trace = None; log = None } in
+    match
+      with_obs no_flags ~logging:true (fun () ->
+          match Core.Netsim.run ~exe:Sys.executable_name spec with
+          | exception Invalid_argument e -> `Error (false, e)
+          | Error e ->
+            eprint_warnings ();
+            `Failed e
+          | Ok r ->
+            Core.Netsim.pp Format.std_formatter spec r;
+            Format.pp_print_flush Format.std_formatter ();
+            `Ok ())
+    with
+    | Error msg -> `Error (false, msg)
+    | Ok (`Failed e) ->
       Printf.eprintf "netsim failed: %s\n%!" e;
       exit 1
-    | Ok r ->
-      Core.Netsim.pp Format.std_formatter spec r;
-      Format.pp_print_flush Format.std_formatter ();
-      let wall = Unix.gettimeofday () -. t0 in
-      (match peak_rss_kb () with
-       | Some kb ->
-         Printf.eprintf "workers %d, wall %.2f s, peak RSS %d kB\n" workers
-           wall kb
-       | None -> Printf.eprintf "workers %d, wall %.2f s\n" workers wall);
+    | Ok (`Error _ as e) -> e
+    | Ok (`Ok ()) ->
+      eprint_wall ~workers t0;
       `Ok ()
   in
   Cmd.v
@@ -1029,16 +953,11 @@ let serve_cmd =
           `Error (false, e)
         | summary ->
           Format.pp_print_flush Format.std_formatter ();
-          List.iter
-            (fun ev -> Format.eprintf "%a@." Engine.Log.pp_event ev)
-            (Engine.Log.warnings ());
+          eprint_warnings ();
           Engine.Log.close_file ();
           Engine.Log.set_enabled false;
           ignore summary;
-          let wall = Unix.gettimeofday () -. t0 in
-          (match peak_rss_kb () with
-           | Some kb -> Printf.eprintf "wall %.2f s, peak RSS %d kB\n" wall kb
-           | None -> Printf.eprintf "wall %.2f s\n" wall);
+          eprint_wall t0;
           `Ok ())
     end
   in
@@ -1141,13 +1060,10 @@ let verify_manifest_cmd =
     Term.(ret (const run $ a_arg $ b_arg))
 
 let () =
-  (* Hidden farm-worker entry: process plumbing, not CLI surface, so it
-     is dispatched before Cmdliner ever sees argv. The single argument
-     is the JSON spec the coordinator serialized. *)
-  if Array.length Sys.argv >= 3 && Sys.argv.(1) = "farm-worker" then
-    exit (Core.Farm.worker_entry Sys.argv.(2));
-  if Array.length Sys.argv >= 3 && Sys.argv.(1) = "netsim-worker" then
-    exit (Core.Netsim.worker_entry Sys.argv.(2));
+  (* Hidden worker entries: process plumbing, not CLI surface, so they
+     are dispatched before Cmdliner ever sees argv. *)
+  Engine.Job.dispatch_worker Core.Farm.job;
+  Engine.Job.dispatch_worker Core.Netsim.job;
   let info =
     Cmd.info "wanpoisson" ~version:(Engine.Build_info.describe ())
       ~doc:

@@ -11,14 +11,6 @@ type spec = {
   workers : int;
   shards : int;
   top_k : int;
-  inject_crash : int;
-  inject_stall : int;
-  metrics : bool;
-  trace : bool;
-  logs : bool;
-  heartbeat_s : float;
-  stall_timeout_s : float;
-  progress : bool;
 }
 
 let default =
@@ -32,14 +24,6 @@ let default =
     workers = 1;
     shards = 128;
     top_k = 64;
-    inject_crash = -1;
-    inject_stall = -1;
-    metrics = false;
-    trace = false;
-    logs = false;
-    heartbeat_s = 1.;
-    stall_timeout_s = 30.;
-    progress = false;
   }
 
 (* ---------------- plan ---------------- *)
@@ -61,6 +45,8 @@ let plan spec =
           disjoint windows are independent; renewal/busy-period models \
           carry cross-shard state)"
          spec.model);
+  Engine.Job.check_finite "Farm.plan"
+    [ ("events", spec.events); ("rate", spec.rate); ("bin", spec.bin) ];
   if spec.events < 1. then invalid_arg "Farm.plan: events must be at least 1";
   if spec.rate <= 0. || spec.bin <= 0. then
     invalid_arg "Farm.plan: rate and bin must be positive";
@@ -68,10 +54,6 @@ let plan spec =
   if spec.workers < 1 then invalid_arg "Farm.plan: workers must be at least 1";
   if spec.shards < 1 then invalid_arg "Farm.plan: shards must be at least 1";
   if spec.top_k < 2 then invalid_arg "Farm.plan: top-k must be at least 2";
-  if spec.heartbeat_s < 0. then
-    invalid_arg "Farm.plan: heartbeat period must be >= 0";
-  if spec.stall_timeout_s < 0. then
-    invalid_arg "Farm.plan: stall timeout must be >= 0";
   let n_bins =
     Int.max 1 (int_of_float (Float.round (spec.events /. spec.rate /. spec.bin)))
   in
@@ -141,7 +123,6 @@ let hill_of_tops tops =
 (* ---------------- per-macro-shard streaming ---------------- *)
 
 type part = {
-  p_index : int;
   p_snap : Timeseries.Pyramid.snapshot;
   p_tops : float array;  (* sorted descending *)
   p_sketch : Stats.Quantile_sketch.t;  (* per-bin count quantiles *)
@@ -158,8 +139,10 @@ let sketch_accuracy = 0.01
    dyadic pyramid plus the tail and quantile-sketch sinks. Memory: one
    window of ~chunk events, one chunk of count bins, O(levels) pyramid
    state, O(log range / accuracy) sketch buckets. [tick] fires after
-   each generation window — the worker's heartbeat point. *)
-let compute_shard ?(tick = fun ~events:_ -> ()) ~spec ~(plan : plan) i =
+   each generation window — the worker's heartbeat point — and once
+   more with the shard's total. *)
+let compute_shard ~tick spec i =
+  let plan = plan spec in
   let lo = i * plan.macro_bins in
   let hi = Int.min plan.n_bins (lo + plan.macro_bins) in
   let len = hi - lo in
@@ -196,118 +179,43 @@ let compute_shard ?(tick = fun ~events:_ -> ()) ~spec ~(plan : plan) i =
     let evs = Traffic.Poisson_proc.homogeneous ~rate:spec.rate ~duration rng in
     Timeseries.Sink.push sink
       (Traffic.Arrival.shift (float_of_int wlo *. spec.bin) evs);
-    tick ~events:!events
+    tick ~events:(int_of_float !events)
   done;
   Timeseries.Sink.finish sink;
+  tick ~events:(int_of_float !events);
   {
-    p_index = i;
     p_snap = Timeseries.Pyramid.snapshot pyr;
     p_tops = topk_sorted_desc tail;
     p_sketch = sketch;
     p_events = int_of_float !events;
   }
 
-(* ---------------- frame payloads ---------------- *)
-
-let kind_snapshot = 1
-let kind_tail = 2
-let kind_counters = 3
-let kind_done = 4
-let kind_sketch = 5
-
-let snapshot_frame p =
-  let b = Buffer.create 256 in
-  Engine.Frame.Wr.u32 b p.p_index;
-  Buffer.add_string b (Timeseries.Pyramid.snapshot_to_string p.p_snap);
-  { Engine.Frame.kind = kind_snapshot; payload = Buffer.contents b }
-
-let tail_frame p =
-  let b = Buffer.create 64 in
-  Engine.Frame.Wr.u32 b p.p_index;
+(* One partial per shard on the wire: event count, tail, snapshot, then
+   the sketch as the remainder. *)
+let encode_part p =
+  let b = Buffer.create 1024 in
   Engine.Frame.Wr.i64 b p.p_events;
   Engine.Frame.Wr.u32 b (Array.length p.p_tops);
   Array.iter (Engine.Frame.Wr.f64 b) p.p_tops;
-  { Engine.Frame.kind = kind_tail; payload = Buffer.contents b }
-
-let counters_frame counters =
-  let b = Buffer.create 128 in
-  Engine.Frame.Wr.u16 b (List.length counters);
-  List.iter
-    (fun (name, v) ->
-      Engine.Frame.Wr.str b name;
-      Engine.Frame.Wr.i64 b v)
-    counters;
-  { Engine.Frame.kind = kind_counters; payload = Buffer.contents b }
-
-let done_frame ~shards ~events ~wall_s ~rss_kb =
-  let b = Buffer.create 32 in
-  Engine.Frame.Wr.u32 b shards;
-  Engine.Frame.Wr.i64 b events;
-  Engine.Frame.Wr.f64 b wall_s;
-  Engine.Frame.Wr.i64 b rss_kb;
-  { Engine.Frame.kind = kind_done; payload = Buffer.contents b }
-
-let sketch_frame p =
-  let b = Buffer.create 256 in
-  Engine.Frame.Wr.u32 b p.p_index;
+  Engine.Frame.Wr.str b (Timeseries.Pyramid.snapshot_to_string p.p_snap);
   Buffer.add_string b (Stats.Quantile_sketch.to_string p.p_sketch);
-  { Engine.Frame.kind = kind_sketch; payload = Buffer.contents b }
+  Buffer.contents b
 
-type decoded =
-  | D_snapshot of int * Timeseries.Pyramid.snapshot
-  | D_tail of int * int * float array  (* index, events, tops *)
-  | D_sketch of int * Stats.Quantile_sketch.t
-  | D_counters of (string * int) list
-  | D_done of int * int * float * int  (* shards, events, wall_s, rss_kb *)
-
-let decode_frame (f : Engine.Frame.t) =
+let decode_part s =
   let open Engine.Frame.Rd in
   match
-    let c = of_string f.payload in
-    if f.kind = kind_snapshot then begin
-      let index = u32 c in
-      let rest =
-        String.sub f.payload 4 (String.length f.payload - 4)
-      in
-      match Timeseries.Pyramid.snapshot_of_string rest with
-      | Ok s -> D_snapshot (index, s)
-      | Error e -> raise (Malformed e)
-    end
-    else if f.kind = kind_tail then begin
-      let index = u32 c in
-      let events = i64 c in
-      let n = u32 c in
-      if n > 1 lsl 20 then raise (Malformed "tail frame too large");
-      let tops = Array.init n (fun _ -> f64 c) in
-      if not (at_end c) then raise (Malformed "trailing bytes in tail frame");
-      D_tail (index, events, tops)
-    end
-    else if f.kind = kind_counters then begin
-      let n = u16 c in
-      let counters = List.init n (fun _ ->
-          let name = str c in
-          let v = i64 c in
-          (name, v))
-      in
-      D_counters counters
-    end
-    else if f.kind = kind_sketch then begin
-      let index = u32 c in
-      let rest = String.sub f.payload 4 (String.length f.payload - 4) in
-      match Stats.Quantile_sketch.of_string rest with
-      | Ok s -> D_sketch (index, s)
-      | Error e -> raise (Malformed e)
-    end
-    else if f.kind = kind_done then begin
-      let shards = u32 c in
-      let events = i64 c in
-      let wall = f64 c in
-      let rss = i64 c in
-      D_done (shards, events, wall, rss)
-    end
-    else raise (Malformed (Printf.sprintf "unknown frame kind %d" f.kind))
+    let c = of_string s in
+    let p_events = i64 c in
+    let n = u32 c in
+    if n > 1 lsl 20 then raise (Malformed "shard tail too large");
+    let p_tops = Array.init n (fun _ -> f64 c) in
+    let snap = str c in
+    (Timeseries.Pyramid.snapshot_of_string snap,
+     Stats.Quantile_sketch.of_string (rest c), p_events, p_tops)
   with
-  | d -> Ok d
+  | Ok p_snap, Ok p_sketch, p_events, p_tops ->
+    Ok { p_snap; p_tops; p_sketch; p_events }
+  | Error e, _, _, _ | _, Error e, _, _ -> Error e
   | exception Malformed m -> Error m
 
 (* ---------------- coordinator merge + read-out ---------------- *)
@@ -335,10 +243,11 @@ let vt_levels covered =
   in
   go 1 []
 
-(* [parts] must hold every macro-shard exactly once; merging is a left
-   fold in global shard order, so the coordinator state — and therefore
+(* [parts] holds every macro-shard once, in shard order; merging is a
+   left fold in that order, so the coordinator state — and therefore
    the printed report — is bit-identical at any worker count. *)
-let merge_parts ~spec ~(plan : plan) parts =
+let merge_parts spec parts =
+  let plan = plan spec in
   let pyr = Timeseries.Pyramid.of_snapshot parts.(0).p_snap in
   let tops = ref parts.(0).p_tops in
   let total = ref parts.(0).p_events in
@@ -381,515 +290,55 @@ let merge_parts ~spec ~(plan : plan) parts =
     resident = Timeseries.Pyramid.resident_floats pyr;
   }
 
-(* ---------------- worker side ---------------- *)
+(* ---------------- the job ---------------- *)
 
-let spec_json_fields spec =
-  [
-    ("model", Engine.Json.Str spec.model);
-    ("events", Engine.Json.Float spec.events);
-    ("rate", Engine.Json.Float spec.rate);
-    ("bin", Engine.Json.Float spec.bin);
-    ("chunk", Engine.Json.Int spec.chunk);
-    ("seed", Engine.Json.Int spec.seed);
-    ("workers", Engine.Json.Int spec.workers);
-    ("shards", Engine.Json.Int spec.shards);
-    ("top_k", Engine.Json.Int spec.top_k);
-    ("inject_crash", Engine.Json.Int spec.inject_crash);
-    ("inject_stall", Engine.Json.Int spec.inject_stall);
-    ("metrics", Engine.Json.Int (if spec.metrics then 1 else 0));
-    ("trace", Engine.Json.Int (if spec.trace then 1 else 0));
-    ("logs", Engine.Json.Int (if spec.logs then 1 else 0));
-    ("heartbeat_s", Engine.Json.Float spec.heartbeat_s);
-    ("stall_timeout_s", Engine.Json.Float spec.stall_timeout_s);
-    ("progress", Engine.Json.Int (if spec.progress then 1 else 0));
-  ]
-
-let worker_arg spec ~index =
-  Engine.Json.to_string
-    (Engine.Json.Obj (("index", Engine.Json.Int index) :: spec_json_fields spec))
-
-let spec_of_json json =
-  match Engine.Json.parse json with
-  | Error e -> Error ("bad worker spec: " ^ e)
-  | Ok j -> (
-    let int k = Option.bind (Engine.Json.member k j) Engine.Json.to_int_opt in
-    let flt k = Option.bind (Engine.Json.member k j) Engine.Json.to_float_opt in
-    let str k = Option.bind (Engine.Json.member k j) Engine.Json.to_str_opt in
-    match
-      ( (str "model", flt "events", flt "rate", flt "bin", int "chunk",
-         int "seed", int "workers", int "shards", int "top_k"),
-        (int "inject_crash", int "inject_stall", int "metrics", int "trace",
-         int "logs", flt "heartbeat_s", flt "stall_timeout_s",
-         int "progress", int "index") )
-    with
-    | ( ( Some model, Some events, Some rate, Some bin, Some chunk, Some seed,
-          Some workers, Some shards, Some top_k ),
-        ( Some inject_crash, Some inject_stall, Some metrics, Some trace,
-          Some logs, Some heartbeat_s, Some stall_timeout_s, Some progress,
-          Some index ) ) ->
-      Ok
-        ( { model; events; rate; bin; chunk; seed; workers; shards; top_k;
-            inject_crash; inject_stall; metrics = metrics <> 0;
-            trace = trace <> 0; logs = logs <> 0; heartbeat_s;
-            stall_timeout_s; progress = progress <> 0 },
-          index )
-    | _ -> Error "bad worker spec: missing field")
-
-let worker_entry json =
-  match spec_of_json json with
-  | Error e ->
-    prerr_endline ("farm-worker: " ^ e);
-    2
-  | Ok (spec, index) -> (
-    match plan spec with
-    | exception Invalid_argument e ->
-      prerr_endline ("farm-worker: " ^ e);
-      2
-    | plan_ -> (
-      try
-        set_binary_mode_out stdout true;
-        if spec.metrics || spec.trace then begin
-          Engine.Telemetry.set_enabled true;
-          Engine.Telemetry.reset ()
-        end;
-        if spec.logs then Engine.Log.set_enabled true;
-        let t0 = Unix.gettimeofday () in
-        let shards_done = ref 0 and events = ref 0 in
-        let rss () =
-          match Engine.Procstat.rss_kb () with Some kb -> kb | None -> -1
-        in
-        (* Heartbeats piggyback on the generation-window cadence: every
-           window end past the period ships one frame, so a worker deep
-           inside a macro-shard still proves liveness. An immediate
-           first beat arms the coordinator's deadline from spawn. *)
-        let last_hb = ref neg_infinity in
-        let heartbeat ~events:ev =
-          if spec.heartbeat_s > 0. then begin
-            let now = Unix.gettimeofday () in
-            if now -. !last_hb >= spec.heartbeat_s then begin
-              last_hb := now;
-              let total = float_of_int !events +. ev in
-              output_string stdout
-                (Engine.Frame.encode
-                   (Engine.Obs_frame.heartbeat_frame
-                      {
-                        Engine.Obs_frame.hb_index = index;
-                        hb_events = int_of_float total;
-                        hb_shards = !shards_done;
-                        hb_rate = total /. Float.max (now -. t0) 1e-9;
-                        hb_rss_kb = rss ();
-                      }));
-              flush stdout
-            end
-          end
-        in
-        Engine.Log.info "farm.worker_start"
-          [
-            ("worker", Engine.Log.I index);
-            ("pid", Engine.Log.I (Unix.getpid ()));
-            ("n_macro", Engine.Log.I plan_.n_macro);
-          ];
-        heartbeat ~events:0.;
-        let i = ref index in
-        while !i < plan_.n_macro do
-          let part =
-            Engine.Telemetry.span ~name:"farm.shard" (fun () ->
-                compute_shard ~tick:heartbeat ~spec ~plan:plan_ !i)
-          in
-          output_string stdout (Engine.Frame.encode (snapshot_frame part));
-          output_string stdout (Engine.Frame.encode (tail_frame part));
-          output_string stdout (Engine.Frame.encode (sketch_frame part));
-          flush stdout;
-          incr shards_done;
-          events := !events + part.p_events;
-          (* Testing hook: die by SIGKILL mid-run, after at least one
-             shipped partial, leaving the frame stream without its final
-             frame — exactly what a real crash looks like. *)
-          if spec.inject_crash = index then
-            Unix.kill (Unix.getpid ()) Sys.sigkill;
-          (* Testing hook: wedge silently after the first shipped shard
-             — alive but making no progress and sending no heartbeats,
-             exactly what the missed-heartbeat deadline exists for. *)
-          if spec.inject_stall = index then
-            while true do
-              Unix.sleep 3600
-            done;
-          i := !i + spec.workers
-        done;
-        if spec.metrics then
-          output_string stdout
-            (Engine.Frame.encode (counters_frame (Engine.Telemetry.counters ())));
-        if spec.trace then
-          output_string stdout
-            (Engine.Frame.encode
-               (Engine.Obs_frame.telemetry_frame ~index
-                  ~epoch_unix_s:(Engine.Telemetry.epoch_unix_s ())
-                  (Engine.Telemetry.events ())));
-        if spec.logs then
-          output_string stdout
-            (Engine.Frame.encode
-               (Engine.Obs_frame.logs_frame ~index (Engine.Log.events ())));
-        output_string stdout
-          (Engine.Frame.encode
-             (done_frame ~shards:!shards_done ~events:!events
-                ~wall_s:(Unix.gettimeofday () -. t0)
-                ~rss_kb:
-                  (match Engine.Procstat.peak_rss_kb () with
-                  | Some kb -> kb
-                  | None -> -1)));
-        flush stdout;
-        0
-      with e ->
-        Printf.eprintf "farm-worker %d: %s\n%!" index (Printexc.to_string e);
-        3))
-
-(* ---------------- coordinator side ---------------- *)
-
-type worker_report = {
-  w_index : int;
-  w_pid : int;
-  w_status : string;
-  w_events : int;
-  w_shards : int;
-  w_wall_s : float;
-  w_rss_kb : int;
-  w_stalled : bool;
-}
-
-type obs = {
-  o_workers : worker_report list;  (* index order *)
-  o_spans : (int * float * Engine.Telemetry.event list) list;
-      (* worker index, worker epoch (Unix s), span table *)
-  o_counters : (int * (string * int) list) list;
-}
-
-(* Fold one worker's decoded frames into the shared parts table.
-   Returns an error description on the first malformed or inconsistent
-   frame — treated exactly like a crashed worker. *)
-let absorb_worker ~(plan : plan) ~parts ~rollup ~worker_counters ~done_info
-    (o : Engine.Farm.outcome) =
-  let snaps = Hashtbl.create 16
-  and tails = Hashtbl.create 16
-  and sketches = Hashtbl.create 16 in
-  let err = ref None in
-  let note_err m = if !err = None then err := Some m in
-  List.iter
-    (fun f ->
-      if !err = None then
-        match decode_frame f with
-        | Error m -> note_err m
-        | Ok (D_snapshot (i, s)) ->
-          if i < 0 || i >= plan.n_macro then note_err "shard index out of range"
-          else if Hashtbl.mem snaps i then note_err "duplicate shard snapshot"
-          else Hashtbl.add snaps i s
-        | Ok (D_tail (i, events, tops)) ->
-          if i < 0 || i >= plan.n_macro then note_err "shard index out of range"
-          else if Hashtbl.mem tails i then note_err "duplicate shard tail"
-          else Hashtbl.add tails i (events, tops)
-        | Ok (D_sketch (i, s)) ->
-          if i < 0 || i >= plan.n_macro then note_err "shard index out of range"
-          else if Hashtbl.mem sketches i then note_err "duplicate shard sketch"
-          else Hashtbl.add sketches i s
-        | Ok (D_counters cs) ->
-          List.iter
-            (fun (name, v) ->
-              Engine.Telemetry.add
-                (Engine.Telemetry.counter ("farm.rollup." ^ name))
-                v)
-            cs;
-          worker_counters := (o.index, cs) :: !worker_counters;
-          rollup := !rollup + List.length cs
-        | Ok (D_done (shards, events, wall_s, rss_kb)) ->
-          done_info := Some (shards, events, wall_s, rss_kb);
-          Engine.Log.info "farm.worker_done"
-            [
-              ("worker", Engine.Log.I o.index);
-              ("pid", Engine.Log.I o.pid);
-              ("shards", Engine.Log.I shards);
-              ("events", Engine.Log.I events);
-              ("wall_s", Engine.Log.F wall_s);
-              ("rss_kb", Engine.Log.I rss_kb);
-            ])
-    o.frames;
-  (match !err with
-  | Some _ -> ()
-  | None ->
-    Hashtbl.iter
-      (fun i snap ->
-        match (Hashtbl.find_opt tails i, Hashtbl.find_opt sketches i) with
-        | None, _ -> note_err (Printf.sprintf "shard %d snapshot without tail" i)
-        | _, None ->
-          note_err (Printf.sprintf "shard %d snapshot without sketch" i)
-        | Some (events, tops), Some sketch ->
-          if parts.(i) <> None then
-            note_err (Printf.sprintf "shard %d shipped twice" i)
-          else
-            parts.(i) <-
-              Some { p_index = i; p_snap = snap; p_tops = tops;
-                     p_sketch = sketch; p_events = events })
-      snaps);
-  !err
-
-(* Live heartbeat state drives the stderr progress line: one line,
-   rewritten in place, aggregating the latest beat from every worker.
-   Purely stderr — stdout stays byte-identical at any worker count. *)
-type hb_board = {
-  hb_ev : int array;
-  hb_rt : float array;
-  hb_rss : int array;
-  mutable hb_shown : bool;
-}
-
-let progress_update board (hb : Engine.Obs_frame.heartbeat) =
-  if hb.hb_index >= 0 && hb.hb_index < Array.length board.hb_ev then begin
-    board.hb_ev.(hb.hb_index) <- hb.hb_events;
-    board.hb_rt.(hb.hb_index) <- hb.hb_rate;
-    board.hb_rss.(hb.hb_index) <- Int.max hb.hb_rss_kb 0;
-    let ev = Array.fold_left ( + ) 0 board.hb_ev in
-    let rate = Array.fold_left ( +. ) 0. board.hb_rt in
-    let rss = Array.fold_left ( + ) 0 board.hb_rss in
-    board.hb_shown <- true;
-    Printf.eprintf "\r[farm] %.2fM events  %.2fM ev/s  workers-rss %d MB   %!"
-      (float_of_int ev /. 1e6) (rate /. 1e6) (rss / 1024)
-  end
-
-let progress_finish board =
-  if board.hb_shown then Printf.eprintf "\n%!"
-
-let run ~exe spec =
-  let plan_ = plan spec in
-  let board =
-    {
-      hb_ev = Array.make spec.workers 0;
-      hb_rt = Array.make spec.workers 0.;
-      hb_rss = Array.make spec.workers 0;
-      hb_shown = false;
-    }
-  in
-  let spans = ref [] in
-  (* Observability frames are consumed as they arrive; analysis frames
-     stay in the outcome for the index-ordered absorb below. *)
-  let on_frame windex (f : Engine.Frame.t) =
-    if not (Engine.Obs_frame.is_obs f) then false
-    else begin
-      (match Engine.Obs_frame.decode f with
-      | Ok (Engine.Obs_frame.Heartbeat hb) ->
-        if spec.progress then progress_update board hb
-      | Ok (Engine.Obs_frame.Telemetry (i, epoch, events)) ->
-        spans := (i, epoch, events) :: !spans
-      | Ok (Engine.Obs_frame.Logs (i, events)) ->
-        (* Re-emit with worker attribution: one totally-ordered JSONL
-           stream for the whole farm under the coordinator's sink. *)
-        List.iter
-          (fun (ev : Engine.Log.event) ->
-            Engine.Log.event ev.ev_level ev.ev_name
-              (List.filter
-                 (fun (k, _) -> k <> "worker" && k <> "w_seq" && k <> "w_t_us")
-                 ev.fields
-              @ [
-                  ("worker", Engine.Log.I i);
-                  ("w_seq", Engine.Log.I ev.seq);
-                  ("w_t_us", Engine.Log.F ev.t_us);
-                ]))
-          events
-      | Error m ->
-        Engine.Log.warn "farm.bad_obs_frame"
-          [ ("worker", Engine.Log.I windex); ("reason", Engine.Log.S m) ]);
-      true
-    end
-  in
-  let on_stall index pid =
-    progress_finish board;
-    board.hb_shown <- false;
-    Engine.Log.error "farm.worker_stalled"
+let spec_to_json spec =
+  Engine.Json.(
+    Obj
       [
-        ("worker", Engine.Log.I index);
-        ("pid", Engine.Log.I pid);
-        ("deadline_s", Engine.Log.F spec.stall_timeout_s);
-      ]
-  in
-  let outcomes =
-    Engine.Telemetry.span ~name:"farm.drain" (fun () ->
-        Engine.Farm.run ~exe
-          ~argv:(fun i -> [| exe; "farm-worker"; worker_arg spec ~index:i |])
-          ~workers:spec.workers
-          ~is_final:(fun f -> f.Engine.Frame.kind = kind_done)
-          ~on_frame
-          ?stall_timeout:
-            (if spec.stall_timeout_s > 0. then Some spec.stall_timeout_s
-             else None)
-          ~on_stall ())
-  in
-  progress_finish board;
-  let parts = Array.make plan_.n_macro None in
-  let rollup = ref 0 in
-  let worker_counters = ref [] in
-  let reports = ref [] in
-  let failures =
-    List.concat_map
-      (fun (o : Engine.Farm.outcome) ->
-        let done_info = ref None in
-        let stream_err =
-          Engine.Telemetry.span ~name:"farm.absorb" (fun () ->
-              let e =
-                absorb_worker ~plan:plan_ ~parts ~rollup ~worker_counters
-                  ~done_info o
-              in
-              if Engine.Farm.ok o then e
-              else
-                Some
-                  (match o.failure with
-                  | Some m -> m
-                  | None -> Engine.Farm.status_to_string o.status))
-        in
-        let shards, events, wall_s, rss_kb =
-          Option.value ~default:(0, 0, 0., -1) !done_info
-        in
-        reports :=
-          {
-            w_index = o.index;
-            w_pid = o.pid;
-            w_status = Engine.Farm.status_to_string o.status;
-            w_events = events;
-            w_shards = shards;
-            w_wall_s = wall_s;
-            w_rss_kb = rss_kb;
-            w_stalled = o.stalled;
-          }
-          :: !reports;
-        match stream_err with
-        | None -> []
-        | Some reason ->
-          if not o.stalled then
-            (* Stalled workers already logged farm.worker_stalled at
-               deadline time; everything else is a death. *)
-            Engine.Log.error "farm.worker_died"
-              [
-                ("worker", Engine.Log.I o.index);
-                ("pid", Engine.Log.I o.pid);
-                ("status", Engine.Log.S (Engine.Farm.status_to_string o.status));
-                ("reason", Engine.Log.S reason);
-              ];
-          [ Printf.sprintf "worker %d (pid %d) %s: %s, %s" o.index o.pid
-              (if o.stalled then "stalled" else "died")
-              (Engine.Farm.status_to_string o.status)
-              reason ])
-      outcomes
-  in
-  let obs =
-    {
-      o_workers = List.rev !reports;
-      o_spans = List.sort compare (List.rev !spans);
-      o_counters = List.sort compare (List.rev !worker_counters);
-    }
-  in
-  if failures <> [] then Error (String.concat "; " failures)
-  else begin
-    let missing = ref [] in
-    Array.iteri
-      (fun i p -> if p = None then missing := i :: !missing)
-      parts;
-    match !missing with
-    | _ :: _ ->
-      Error
-        (Printf.sprintf "missing macro-shard%s %s"
-           (if List.length !missing > 1 then "s" else "")
-           (String.concat ", "
-              (List.rev_map string_of_int !missing)))
-    | [] ->
-      let parts = Array.map Option.get parts in
-      let r =
-        Engine.Telemetry.span ~name:"farm.merge" (fun () ->
-            merge_parts ~spec ~plan:plan_ parts)
-      in
-      Ok (r, obs)
-  end
+        ("model", Str spec.model);
+        ("events", Float spec.events);
+        ("rate", Float spec.rate);
+        ("bin", Float spec.bin);
+        ("chunk", Int spec.chunk);
+        ("seed", Int spec.seed);
+        ("workers", Int spec.workers);
+        ("shards", Int spec.shards);
+        ("top_k", Int spec.top_k);
+      ])
 
-(* The merged Chrome trace: coordinator lane first (offset 0 — its
-   telemetry epoch anchors the timeline), then one lane per worker that
-   shipped a span table, re-anchored by its own epoch. *)
-let trace_processes (obs : obs) =
-  let coord_epoch = Engine.Telemetry.epoch_unix_s () in
+let spec_of_json j =
+  Engine.Job.read_fields j (fun f ->
+      {
+        model = f.str "model";
+        events = f.float "events";
+        rate = f.float "rate";
+        bin = f.float "bin";
+        chunk = f.int "chunk";
+        seed = f.int "seed";
+        workers = f.int "workers";
+        shards = f.int "shards";
+        top_k = f.int "top_k";
+      })
+
+let job =
   {
-    Engine.Telemetry.pr_label = "coordinator";
-    pr_events = Engine.Telemetry.events ();
-    pr_counters = Engine.Telemetry.counters ();
-    pr_offset_us = 0.;
+    Engine.Job.name = "farm";
+    units = (fun spec -> (plan spec).n_macro);
+    compute = compute_shard;
+    encode = encode_part;
+    decode = decode_part;
+    spec_to_json;
+    spec_of_json;
   }
-  :: List.map
-       (fun (i, epoch, events) ->
-         {
-           Engine.Telemetry.pr_label = Printf.sprintf "worker %d" i;
-           pr_events = events;
-           pr_counters =
-             Option.value ~default:[] (List.assoc_opt i obs.o_counters);
-           pr_offset_us = (epoch -. coord_epoch) *. 1e6;
-         })
-       obs.o_spans
 
-(* The full workers=1 computational path — per-shard streaming, frame
-   encode + decode, shard-order merge — without process management.
-   Benched as farm-count-1e8 and pinned against [run] by the tests. *)
-let run_inline ?(obs = false) spec =
-  let plan_ = plan spec in
-  (* [obs] emulates a metrics+trace+heartbeat worker in one process —
-     the shard span, the cadence-gated heartbeat tick and its frame
-     round-trip — so the farm-telemetry-overhead bench measures exactly
-     what the observability flags add to the compute path. *)
-  let last_hb = ref neg_infinity in
-  let shards_done = ref 0 and events_done = ref 0 in
-  let heartbeat ~events:ev =
-    if spec.heartbeat_s > 0. then begin
-      let now = Unix.gettimeofday () in
-      if now -. !last_hb >= spec.heartbeat_s then begin
-        last_hb := now;
-        let total = float_of_int !events_done +. ev in
-        match
-          Engine.Frame.decode
-            (Engine.Frame.encode
-               (Engine.Obs_frame.heartbeat_frame
-                  {
-                    Engine.Obs_frame.hb_index = 0;
-                    hb_events = int_of_float total;
-                    hb_shards = !shards_done;
-                    hb_rate = total;
-                    hb_rss_kb = -1;
-                  }))
-            0
-        with
-        | Ok _ -> ()
-        | Error e -> failwith (Engine.Frame.error_to_string e)
-      end
-    end
-  in
-  let parts =
-    Array.init plan_.n_macro (fun i ->
-        let p =
-          if obs then
-            Engine.Telemetry.span ~name:"farm.shard" (fun () ->
-                compute_shard ~tick:heartbeat ~spec ~plan:plan_ i)
-          else compute_shard ~spec ~plan:plan_ i
-        in
-        shards_done := !shards_done + 1;
-        events_done := !events_done + p.p_events;
-        let roundtrip frame =
-          match Engine.Frame.decode (Engine.Frame.encode frame) 0 with
-          | Ok (f, _) -> f
-          | Error e -> failwith (Engine.Frame.error_to_string e)
-        in
-        match
-          ( decode_frame (roundtrip (snapshot_frame p)),
-            decode_frame (roundtrip (tail_frame p)),
-            decode_frame (roundtrip (sketch_frame p)) )
-        with
-        | ( Ok (D_snapshot (idx, snap)),
-            Ok (D_tail (_, events, tops)),
-            Ok (D_sketch (_, sketch)) ) ->
-          { p_index = idx; p_snap = snap; p_tops = tops; p_sketch = sketch;
-            p_events = events }
-        | _ -> failwith "farm inline: frame round-trip failed")
-  in
-  merge_parts ~spec ~plan:plan_ parts
+let run ~exe ?opts spec =
+  Result.map
+    (fun (parts, obs) ->
+      (Engine.Telemetry.span ~name:"farm.merge" (fun () -> merge_parts spec parts), obs))
+    (Engine.Job.run job ~exe ?opts ~workers:spec.workers spec)
+
+let run_inline ?obs spec = merge_parts spec (Engine.Job.run_inline ?obs job spec)
 
 let pp fmt spec r =
   Format.fprintf fmt "farm model=%s events=%g bins=%d bin=%g seed=%d@."

@@ -9,8 +9,8 @@
     sharding discipline), folds them through the local streaming stack
     ({!Timeseries.Sink.counts} → {!Timeseries.Pyramid} + a top-k tail
     sink) in O(levels x chunk) memory, and ships
-    {!Timeseries.Pyramid.snapshot} + tail partials to the coordinator as
-    {!Engine.Frame} binary frames. The coordinator
+    one partial per shard (snapshot, tail, sketch) to the coordinator
+    through {!Engine.Job}'s frame envelope. The coordinator
     {!Timeseries.Pyramid.merge_into}s the snapshots in {e global shard
     order} — a left fold whose shape is identical at any worker count —
     so stdout is byte-identical at [--workers 1] and [--workers 64].
@@ -36,36 +36,10 @@ type spec = {
   bin : float;
   chunk : int;  (** Streaming chunk size (bins / events per buffer). *)
   seed : int;
-  workers : int;
+  workers : int;  (** Worker processes for {!run}; never changes values. *)
   shards : int;  (** Target macro-shard count (layout rounds to powers
                      of two); actual count is {!plan}'s [n_macro]. *)
   top_k : int;  (** Tail-sink size for the Hill read-out. *)
-  inject_crash : int;
-      (** Testing hook: the worker with this index SIGKILLs itself after
-          its first completed macro-shard ([-1] = off). *)
-  inject_stall : int;
-      (** Testing hook: the worker with this index wedges silently —
-          alive, no frames, no heartbeats — after its first completed
-          macro-shard ([-1] = off), so the missed-heartbeat deadline is
-          what has to catch it. *)
-  metrics : bool;  (** Roll worker telemetry counters up to the
-                       coordinator. *)
-  trace : bool;  (** Ship worker span tables ({!Engine.Obs_frame}) for
-                     the merged Chrome trace. *)
-  logs : bool;  (** Ship worker structured log events; the coordinator
-                    re-emits them with worker attribution. *)
-  heartbeat_s : float;
-      (** Worker heartbeat period in seconds (0 = no heartbeats).
-          Heartbeats ride the generation-window cadence, so they prove
-          liveness even mid-macro-shard. *)
-  stall_timeout_s : float;
-      (** Coordinator deadline: a worker silent (no frame of any kind)
-          for longer is declared stalled, logged as
-          [farm.worker_stalled], SIGKILLed, and fails the run
-          (0 = never). *)
-  progress : bool;
-      (** Rewrite a live aggregate progress line on stderr from
-          incoming heartbeats. Stdout is unaffected. *)
 }
 
 val default : spec
@@ -78,8 +52,8 @@ type plan = {
 }
 
 val plan : spec -> plan
-(** Raises [Invalid_argument] on an unsupported model or out-of-range
-    field. *)
+(** Raises [Invalid_argument] on an unsupported model, an out-of-range
+    field, or a NaN/infinite float (naming the field). *)
 
 type result = {
   bins : int;
@@ -105,61 +79,30 @@ type result = {
   resident : int;
 }
 
-(** {1 Farm observability} *)
+type part
+(** One macro-shard's partial: pyramid snapshot, top-k tail, count
+    sketch and event total — one frame on the wire. *)
 
-type worker_report = {
-  w_index : int;
-  w_pid : int;
-  w_status : string;  (** {!Engine.Farm.status_to_string}. *)
-  w_events : int;  (** From the worker's done frame (0 if it never
-                       arrived). *)
-  w_shards : int;
-  w_wall_s : float;
-  w_rss_kb : int;  (** Worker peak RSS; [-1] when unavailable. *)
-  w_stalled : bool;
-}
+val job : (spec, part) Engine.Job.t
+(** The farm as an {!Engine.Job}: units are macro-shards, RNG streams
+    are keyed [farm#shard#window]. *)
 
-type obs = {
-  o_workers : worker_report list;  (** One per worker, index order. *)
-  o_spans : (int * float * Engine.Telemetry.event list) list;
-      (** Shipped span tables: worker index, worker telemetry epoch
-          (Unix seconds), events. Non-empty only under [trace]. *)
-  o_counters : (int * (string * int) list) list;
-      (** Per-worker counter rollups. Non-empty only under [metrics]. *)
-}
-
-val trace_processes : obs -> Engine.Telemetry.process list
-(** Lanes for {!Engine.Telemetry.to_chrome_trace_multi}: the
-    coordinator's own spans/counters first (its epoch anchors the
-    timeline), then one lane per worker span table, re-anchored by the
-    worker's shipped epoch. *)
-
-val worker_entry : string -> int
-(** The hidden [farm-worker] subcommand body: parse the JSON spec
-    argument (spec fields plus ["index"]), compute the owned
-    macro-shards, write frames to stdout, return the exit code. Never
-    raises — failures print to stderr and return nonzero. *)
-
-val run : exe:string -> spec -> (result * obs, string) Stdlib.result
-(** Coordinator: spawn [spec.workers] worker processes re-executing
-    [exe] (via {!Engine.Farm}), drain analysis and observability frames
-    concurrently, and merge the partials. [Error] — with
-    [farm.worker_died] logged per dead worker and [farm.worker_stalled]
-    per missed-heartbeat kill — when any worker exits abnormally,
-    breaks its frame stream, misses the heartbeat deadline, or omits a
-    shard; no partial results are ever reported as complete. Worker
-    stderr arrives tagged (["[w3] ..."]) and line-buffered on the
-    coordinator's stderr. Raises [Invalid_argument] only on a bad spec
-    (see {!plan}). *)
+val run :
+  exe:string ->
+  ?opts:Engine.Job.opts ->
+  spec ->
+  (result * Engine.Job.obs, string) Stdlib.result
+(** Coordinator: {!Engine.Job.run} over [spec.workers] worker processes
+    re-executing [exe], then the shard-order merge. [Error] when any
+    worker dies, stalls, or omits a shard; raises [Invalid_argument]
+    only on a bad spec (see {!plan}). *)
 
 val run_inline : ?obs:bool -> spec -> result
 (** The same computation — per-shard streaming, frame encode/decode,
-    shard-order merge — in one process, used by the [farm-count-1e8]
-    bench and the test suite. Produces the identical [result] record
-    (workers only affect process placement, never values). [obs]
-    (default false) additionally emulates a metrics+trace+heartbeat
-    worker — the per-shard telemetry span, the cadence-gated heartbeat
-    tick and its frame round-trip — which is what the
+    shard-order merge — in one process ({!Engine.Job.run_inline}), used
+    by the [farm-count-1e8] bench and the test suite. Produces the
+    identical [result] record. [obs] (default false) additionally
+    emulates a metrics+trace worker, which is what the
     [farm-count-1e8-obs] bench measures against [farm-count-1e8] for
     the <= 5% observability-overhead gate. *)
 

@@ -85,6 +85,10 @@ let parse_topology s =
   | _ -> invalid_arg "netsim: topology must be tandem:K or fanin:M"
 
 let plan spec =
+  Engine.Job.check_finite "netsim"
+    [ ("events", spec.events); ("beta", spec.beta);
+      ("mean-period", spec.mean_period); ("on-rate", spec.on_rate);
+      ("rate", spec.rate); ("load", spec.load) ];
   let topo, n_links = parse_topology spec.topology in
   let disc =
     match spec.discipline with
@@ -147,7 +151,7 @@ type link_part = {
   lp_sketch : Stats.Quantile_sketch.t array;
 }
 
-type partial = { q_index : int; q_events : int; q_links : link_part array }
+type partial = { q_events : int; q_links : link_part array }
 
 (* Replica r's traffic stream is keyed by its absolute index — the
    netsim analogue of the farm's "farm#shard#window" keying — so the
@@ -156,7 +160,8 @@ type partial = { q_index : int; q_events : int; q_links : link_part array }
 let replica_rng spec r =
   Engine.Task.derive_rng ~seed:spec.seed (Printf.sprintf "netsim#%d" r)
 
-let compute_replica ~spec ~(plan : plan) r =
+let compute_replica ~tick spec r =
+  let plan = plan spec in
   let rng = replica_rng spec r in
   let net =
     Queueing.Network.create ~sketch_accuracy
@@ -176,7 +181,8 @@ let compute_replica ~spec ~(plan : plan) r =
     Traffic.Superpose.iter ~chunk:spec.chunk ~sources ~horizon:plan.horizon
       rng (fun times srcs len ->
         Queueing.Network.push_chunk net ~times ~srcs ~pos:0 ~len;
-        events := !events + len)
+        events := !events + len;
+        tick ~events:!events)
   | _ ->
     (* Poisson packets take their global sequence index as source id:
        classes alternate and fan-in ingress round-robins, chunk-size
@@ -192,7 +198,9 @@ let compute_replica ~spec ~(plan : plan) r =
           s.(j) <- base + j
         done;
         Queueing.Network.push_chunk net ~times ~srcs:s ~pos:0 ~len;
-        events := !events + len));
+        events := !events + len;
+        tick ~events:!events));
+  tick ~events:!events;
   let stats = Queueing.Network.finish net in
   let q_links =
     Array.map
@@ -220,20 +228,12 @@ let compute_replica ~spec ~(plan : plan) r =
         })
       stats
   in
-  { q_index = r; q_events = !events; q_links }
+  { q_events = !events; q_links }
 
-(* ---------------- frame payloads ---------------- *)
+(* ---------------- partial codec ---------------- *)
 
-(* Farm reserves kinds 1-5; the replica partial — the "kind-5-style"
-   sketch partial of the netsim protocol — is kind 6. The done frame
-   reuses farm's kind 4 layout so Engine.Farm's is_final plumbing is
-   identical. *)
-let kind_done = 4
-let kind_replica = 6
-
-let replica_frame p =
+let encode_partial p =
   let b = Buffer.create 512 in
-  Engine.Frame.Wr.u32 b p.q_index;
   Engine.Frame.Wr.i64 b p.q_events;
   Engine.Frame.Wr.u16 b (Array.length p.q_links);
   Array.iter
@@ -249,75 +249,52 @@ let replica_frame p =
           (Stats.Quantile_sketch.to_string lp.lp_sketch.(c))
       done)
     p.q_links;
-  { Engine.Frame.kind = kind_replica; payload = Buffer.contents b }
+  Buffer.contents b
 
-let done_frame ~replicas ~events ~wall_s ~rss_kb =
-  let b = Buffer.create 32 in
-  Engine.Frame.Wr.u32 b replicas;
-  Engine.Frame.Wr.i64 b events;
-  Engine.Frame.Wr.f64 b wall_s;
-  Engine.Frame.Wr.i64 b rss_kb;
-  { Engine.Frame.kind = kind_done; payload = Buffer.contents b }
-
-type decoded =
-  | D_replica of partial
-  | D_done of int * int * float * int  (* replicas, events, wall_s, rss_kb *)
-
-let decode_frame (f : Engine.Frame.t) =
+let decode_partial s =
   let open Engine.Frame.Rd in
   match
-    let c = of_string f.payload in
-    if f.kind = kind_replica then begin
-      let q_index = u32 c in
-      let q_events = i64 c in
-      let n_links = u16 c in
-      if n_links < 1 || n_links > 8 then
-        raise (Malformed "replica frame: bad link count");
-      let q_links =
-        Array.init n_links (fun _ ->
-            let lp_util = f64 c in
-            let lp_hash = i64 c in
-            let served = Array.make 2 0
-            and dropped = Array.make 2 0
-            and sum_wait = Array.make 2 0.
-            and max_wait = Array.make 2 0.
-            and sketch =
-              Array.init 2 (fun _ ->
-                  Stats.Quantile_sketch.create ~accuracy:sketch_accuracy ())
-            in
-            for cl = 0 to 1 do
-              served.(cl) <- i64 c;
-              dropped.(cl) <- i64 c;
-              sum_wait.(cl) <- f64 c;
-              max_wait.(cl) <- f64 c;
-              match Stats.Quantile_sketch.of_string (str c) with
-              | Ok s -> sketch.(cl) <- s
-              | Error e -> raise (Malformed e)
-            done;
-            {
-              lp_util;
-              lp_hash;
-              lp_served = served;
-              lp_dropped = dropped;
-              lp_sum_wait = sum_wait;
-              lp_max_wait = max_wait;
-              lp_sketch = sketch;
-            })
-      in
-      if not (at_end c) then
-        raise (Malformed "trailing bytes in replica frame");
-      D_replica { q_index; q_events; q_links }
-    end
-    else if f.kind = kind_done then begin
-      let replicas = u32 c in
-      let events = i64 c in
-      let wall = f64 c in
-      let rss = i64 c in
-      D_done (replicas, events, wall, rss)
-    end
-    else raise (Malformed (Printf.sprintf "unknown frame kind %d" f.kind))
+    let c = of_string s in
+    let q_events = i64 c in
+    let n_links = u16 c in
+    if n_links < 1 || n_links > 8 then
+      raise (Malformed "replica partial: bad link count");
+    let q_links =
+      Array.init n_links (fun _ ->
+          let lp_util = f64 c in
+          let lp_hash = i64 c in
+          let served = Array.make 2 0
+          and dropped = Array.make 2 0
+          and sum_wait = Array.make 2 0.
+          and max_wait = Array.make 2 0.
+          and sketch =
+            Array.init 2 (fun _ ->
+                Stats.Quantile_sketch.create ~accuracy:sketch_accuracy ())
+          in
+          for cl = 0 to 1 do
+            served.(cl) <- i64 c;
+            dropped.(cl) <- i64 c;
+            sum_wait.(cl) <- f64 c;
+            max_wait.(cl) <- f64 c;
+            match Stats.Quantile_sketch.of_string (str c) with
+            | Ok s -> sketch.(cl) <- s
+            | Error e -> raise (Malformed e)
+          done;
+          {
+            lp_util;
+            lp_hash;
+            lp_served = served;
+            lp_dropped = dropped;
+            lp_sum_wait = sum_wait;
+            lp_max_wait = max_wait;
+            lp_sketch = sketch;
+          })
+    in
+    if not (at_end c) then
+      raise (Malformed "trailing bytes in replica partial");
+    { q_events; q_links }
   with
-  | d -> Ok d
+  | p -> Ok p
   | exception Malformed m -> Error m
 
 (* ---------------- coordinator merge ---------------- *)
@@ -346,7 +323,8 @@ type result = { total_events : int; links : merged_link array }
    below (sums, maxes, sketch merges, the hash chain) runs left to
    right over that fixed order, so the result — and the printed report
    — is bit-identical at any worker count. *)
-let merge_parts ~(plan : plan) (parts : partial array) =
+let merge_parts spec (parts : partial array) =
+  let plan = plan spec in
   let n = Array.length parts in
   let total_events = ref 0 in
   Array.iter (fun p -> total_events := !total_events + p.q_events) parts;
@@ -406,165 +384,69 @@ let merge_parts ~(plan : plan) (parts : partial array) =
   in
   { total_events = !total_events; links }
 
-(* ---------------- worker side ---------------- *)
+(* ---------------- the job ---------------- *)
 
-let spec_json_fields spec =
-  [
-    ("model", Engine.Json.Str spec.model);
-    ("events", Engine.Json.Float spec.events);
-    ("replicas", Engine.Json.Int spec.replicas);
-    ("sources", Engine.Json.Int spec.sources);
-    ("beta", Engine.Json.Float spec.beta);
-    ("mean_period", Engine.Json.Float spec.mean_period);
-    ("on_rate", Engine.Json.Float spec.on_rate);
-    ("rate", Engine.Json.Float spec.rate);
-    ("load", Engine.Json.Float spec.load);
-    ("topology", Engine.Json.Str spec.topology);
-    ("discipline", Engine.Json.Str spec.discipline);
-    ("buffer", Engine.Json.Int spec.buffer);
-    ("chunk", Engine.Json.Int spec.chunk);
-    ("seed", Engine.Json.Int spec.seed);
-    ("workers", Engine.Json.Int spec.workers);
-  ]
+let spec_to_json spec =
+  Engine.Json.(
+    Obj
+      [
+        ("model", Str spec.model);
+        ("events", Float spec.events);
+        ("replicas", Int spec.replicas);
+        ("sources", Int spec.sources);
+        ("beta", Float spec.beta);
+        ("mean_period", Float spec.mean_period);
+        ("on_rate", Float spec.on_rate);
+        ("rate", Float spec.rate);
+        ("load", Float spec.load);
+        ("topology", Str spec.topology);
+        ("discipline", Str spec.discipline);
+        ("buffer", Int spec.buffer);
+        ("chunk", Int spec.chunk);
+        ("seed", Int spec.seed);
+        ("workers", Int spec.workers);
+      ])
 
-let worker_arg spec ~index =
-  Engine.Json.to_string
-    (Engine.Json.Obj (("index", Engine.Json.Int index) :: spec_json_fields spec))
+let spec_of_json j =
+  Engine.Job.read_fields j (fun f ->
+      {
+        model = f.str "model";
+        events = f.float "events";
+        replicas = f.int "replicas";
+        sources = f.int "sources";
+        beta = f.float "beta";
+        mean_period = f.float "mean_period";
+        on_rate = f.float "on_rate";
+        rate = f.float "rate";
+        load = f.float "load";
+        topology = f.str "topology";
+        discipline = f.str "discipline";
+        buffer = f.int "buffer";
+        chunk = f.int "chunk";
+        seed = f.int "seed";
+        workers = f.int "workers";
+      })
 
-let spec_of_json json =
-  match Engine.Json.parse json with
-  | Error e -> Error ("bad worker spec: " ^ e)
-  | Ok j -> (
-    let int k = Option.bind (Engine.Json.member k j) Engine.Json.to_int_opt in
-    let flt k = Option.bind (Engine.Json.member k j) Engine.Json.to_float_opt in
-    let str k = Option.bind (Engine.Json.member k j) Engine.Json.to_str_opt in
-    match
-      ( (str "model", flt "events", int "replicas", int "sources", flt "beta",
-         flt "mean_period", flt "on_rate", flt "rate"),
-        (flt "load", str "topology", str "discipline", int "buffer",
-         int "chunk", int "seed", int "workers", int "index") )
-    with
-    | ( ( Some model, Some events, Some replicas, Some sources, Some beta,
-          Some mean_period, Some on_rate, Some rate ),
-        ( Some load, Some topology, Some discipline, Some buffer, Some chunk,
-          Some seed, Some workers, Some index ) ) ->
-      Ok
-        ( { model; events; replicas; sources; beta; mean_period; on_rate;
-            rate; load; topology; discipline; buffer; chunk; seed; workers },
-          index )
-    | _ -> Error "bad worker spec: missing field")
+let job =
+  {
+    Engine.Job.name = "netsim";
+    units =
+      (fun spec ->
+        ignore (plan spec);
+        spec.replicas);
+    compute = compute_replica;
+    encode = encode_partial;
+    decode = decode_partial;
+    spec_to_json;
+    spec_of_json;
+  }
 
-let worker_entry json =
-  match spec_of_json json with
-  | Error e ->
-    prerr_endline ("netsim-worker: " ^ e);
-    2
-  | Ok (spec, index) -> (
-    match plan spec with
-    | exception Invalid_argument e ->
-      prerr_endline ("netsim-worker: " ^ e);
-      2
-    | plan_ -> (
-      try
-        set_binary_mode_out stdout true;
-        let t0 = Unix.gettimeofday () in
-        let done_ = ref 0 and events = ref 0 in
-        let r = ref index in
-        while !r < spec.replicas do
-          let part = compute_replica ~spec ~plan:plan_ !r in
-          output_string stdout (Engine.Frame.encode (replica_frame part));
-          flush stdout;
-          incr done_;
-          events := !events + part.q_events;
-          r := !r + spec.workers
-        done;
-        output_string stdout
-          (Engine.Frame.encode
-             (done_frame ~replicas:!done_ ~events:!events
-                ~wall_s:(Unix.gettimeofday () -. t0)
-                ~rss_kb:
-                  (match Engine.Procstat.peak_rss_kb () with
-                  | Some kb -> kb
-                  | None -> -1)));
-        flush stdout;
-        0
-      with e ->
-        Printf.eprintf "netsim-worker %d: %s\n%!" index (Printexc.to_string e);
-        3))
+let run ~exe ?opts spec =
+  Result.map
+    (fun (parts, _obs) -> merge_parts spec parts)
+    (Engine.Job.run job ~exe ?opts ~workers:spec.workers spec)
 
-(* ---------------- coordinator side ---------------- *)
-
-let absorb_worker ~spec ~parts (o : Engine.Farm.outcome) =
-  let err = ref None in
-  let note_err m = if !err = None then err := Some m in
-  List.iter
-    (fun f ->
-      if !err = None then
-        match decode_frame f with
-        | Error m -> note_err m
-        | Ok (D_replica p) ->
-          if p.q_index < 0 || p.q_index >= spec.replicas then
-            note_err "replica index out of range"
-          else if parts.(p.q_index) <> None then
-            note_err (Printf.sprintf "replica %d shipped twice" p.q_index)
-          else parts.(p.q_index) <- Some p
-        | Ok (D_done _) -> ())
-    o.frames;
-  if !err = None && not (Engine.Farm.ok o) then
-    note_err
-      (match o.failure with
-      | Some m -> m
-      | None -> Engine.Farm.status_to_string o.status);
-  match !err with
-  | None -> []
-  | Some reason ->
-    [ Printf.sprintf "worker %d (pid %d) %s: %s" o.index o.pid
-        (if o.stalled then "stalled" else "died")
-        reason ]
-
-let run ~exe spec =
-  let plan_ = plan spec in
-  let outcomes =
-    Engine.Farm.run ~exe
-      ~argv:(fun i -> [| exe; "netsim-worker"; worker_arg spec ~index:i |])
-      ~workers:spec.workers
-      ~is_final:(fun f -> f.Engine.Frame.kind = kind_done)
-      ()
-  in
-  let parts = Array.make spec.replicas None in
-  let failures =
-    List.concat_map (absorb_worker ~spec ~parts) outcomes
-  in
-  if failures <> [] then Error (String.concat "; " failures)
-  else begin
-    let missing = ref [] in
-    Array.iteri (fun i p -> if p = None then missing := i :: !missing) parts;
-    match !missing with
-    | _ :: _ ->
-      Error
-        (Printf.sprintf "missing replica%s %s"
-           (if List.length !missing > 1 then "s" else "")
-           (String.concat ", " (List.rev_map string_of_int !missing)))
-    | [] -> Ok (merge_parts ~plan:plan_ (Array.map Option.get parts))
-  end
-
-(* The full workers=1 computational path — replica simulation, frame
-   encode + decode, replica-order merge — without process management,
-   pinned against [run] by the tests. *)
-let run_inline spec =
-  let plan_ = plan spec in
-  let parts =
-    Array.init spec.replicas (fun r ->
-        let p = compute_replica ~spec ~plan:plan_ r in
-        match Engine.Frame.decode (Engine.Frame.encode (replica_frame p)) 0 with
-        | Ok (f, _) -> (
-          match decode_frame f with
-          | Ok (D_replica p) -> p
-          | Ok (D_done _) | Error _ ->
-            failwith "netsim inline: frame round-trip failed")
-        | Error e -> failwith (Engine.Frame.error_to_string e))
-  in
-  merge_parts ~plan:plan_ parts
+let run_inline spec = merge_parts spec (Engine.Job.run_inline job spec)
 
 (* Deliberately omits the worker count and any timing: stdout must be
    byte-identical at any --workers. *)

@@ -46,7 +46,8 @@ type plan = {
 
 val plan : spec -> plan
 (** Raises [Invalid_argument] on an unsupported model, topology,
-    discipline or out-of-range field. *)
+    discipline, out-of-range field, or a NaN/infinite float (naming the
+    field). *)
 
 val red_of_buffer : int -> Queueing.Network.red
 (** The RED parameters [discipline = "red"] derives from the buffer
@@ -73,17 +74,22 @@ type merged_link = {
 
 type result = { total_events : int; links : merged_link array }
 
-val worker_entry : string -> int
-(** The hidden [netsim-worker] subcommand body: parse the JSON spec
-    argument (spec fields plus ["index"]), simulate the owned replicas,
-    write frames to stdout, return the exit code. Never raises. *)
+type partial
+(** One replica's per-link partial: utilization, drop hash, per-class
+    counts, wait sums/maxima and waiting-time sketches. *)
 
-val run : exe:string -> spec -> (result, string) Stdlib.result
-(** Coordinator: spawn [spec.workers] processes re-executing [exe] via
-    {!Engine.Farm}, drain replica partials and merge them in replica
-    order. [Error] when any worker exits abnormally, breaks its frame
-    stream, or omits a replica. Raises [Invalid_argument] only on a bad
-    spec (see {!plan}). *)
+val job : (spec, partial) Engine.Job.t
+(** Netsim as an {!Engine.Job}: units are replicas, RNG streams are
+    keyed [netsim#replica]. *)
+
+val run :
+  exe:string -> ?opts:Engine.Job.opts -> spec -> (result, string) Stdlib.result
+(** Coordinator: {!Engine.Job.run} over [spec.workers] worker processes
+    re-executing [exe], then the replica-order merge. [Error] — with
+    [netsim.worker_died] / [netsim.worker_stalled] logged — when any
+    worker exits abnormally, breaks its frame stream, misses the
+    heartbeat deadline, or omits a replica. Raises [Invalid_argument]
+    only on a bad spec (see {!plan}). *)
 
 val run_inline : spec -> result
 (** The same computation — replica simulation, frame encode/decode,

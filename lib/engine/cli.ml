@@ -14,6 +14,15 @@ type config = {
   report_html : string option;
 }
 
+(* Open without truncating: the probe must not destroy an existing file
+   when a later step fails. *)
+let check_writable_file path =
+  match open_out_gen [ Open_wronly; Open_creat ] 0o644 path with
+  | oc ->
+    close_out_noerr oc;
+    Ok ()
+  | exception Sys_error msg -> Error (Printf.sprintf "cannot write %s" msg)
+
 type outcome = Config of config | Help of string | Error of string
 
 let usage_msg prog =

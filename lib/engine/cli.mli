@@ -31,6 +31,12 @@ type config = {
   report_html : string option;  (** Write the HTML run report here. *)
 }
 
+val check_writable_file : string -> (unit, string) result
+(** Output-path preflight shared by the command-line frontends: [Error
+    "cannot write <path>: <reason>"] when [path] cannot be opened for
+    writing. Creates the file if absent but never truncates it, so a
+    failed run does not destroy an existing output. *)
+
 type outcome =
   | Config of config
   | Help of string  (** --help: the usage text to print, exit 0. *)

@@ -87,6 +87,11 @@ module Rd = struct
     c.pos <- c.pos + n;
     v
 
+  let rest c =
+    let v = String.sub c.s c.pos (String.length c.s - c.pos) in
+    c.pos <- String.length c.s;
+    v
+
   let at_end c = c.pos = String.length c.s
 end
 

@@ -1,8 +1,8 @@
 (** Length-prefixed binary frames for the multi-process trace farm.
 
-    A farm worker ships its analysis partials (pyramid snapshots, tail
-    top-k arrays, telemetry counter rollups, a final done summary) back
-    to the coordinator over a pipe. The wire format is a self-delimiting
+    A {!Job} worker ships its per-unit partials, telemetry counter
+    rollups and a final done summary back to the coordinator over a
+    pipe. The wire format is a self-delimiting
     frame:
 
     {v
@@ -96,5 +96,9 @@ module Rd : sig
   val i64 : cursor -> int
   val f64 : cursor -> float
   val str : cursor -> string
+
+  val rest : cursor -> string
+  (** The unread remainder (possibly empty); the cursor ends at the end. *)
+
   val at_end : cursor -> bool
 end

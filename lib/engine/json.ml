@@ -26,7 +26,9 @@ let escape s =
 let float_str f =
   if Float.is_nan f || Float.abs f = infinity then "null"
   else begin
+    (* 12 digits where they round-trip, else 17: the printer is lossless. *)
     let s = Printf.sprintf "%.12g" f in
+    let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
     (* Keep floats recognisable as floats on re-parse. *)
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
     else s ^ ".0"

@@ -25,8 +25,10 @@ val escape : string -> string
 
 val to_string : ?indent:bool -> t -> string
 (** Serialize. [indent] (default false) pretty-prints containers two
-    spaces per level. Floats print via ["%.12g"] ([nan] and infinities,
-    which JSON cannot represent, print as [null]). *)
+    spaces per level. Floats print via ["%.12g"], or ["%.17g"] when 12
+    digits would not parse back to the same float, so finite floats
+    round-trip exactly ([nan] and infinities, which JSON cannot
+    represent, print as [null]). *)
 
 val parse : string -> (t, string) result
 (** Parse one JSON value (surrounding whitespace allowed; trailing

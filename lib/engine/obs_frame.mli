@@ -18,8 +18,9 @@
       line, and a missed-heartbeat deadline is how the coordinator
       distinguishes a stalled worker from a slow one.
 
-    Kinds 16+ are reserved for observability so analysis kinds (1..4 in
-    [Core.Farm], and future ones) never collide; {!is_obs} is the
+    Kinds 16+ are reserved for observability so the analysis kinds
+    ({!Job}'s envelope: unit, counters, done — all below 16) never
+    collide; {!is_obs} is the
     coordinator's consume-don't-merge test. Decoding is total and
     bounds-checked: length fields are capped before any allocation. *)
 

@@ -51,3 +51,15 @@ let check_invalid_arg name prefix f =
     then
       Alcotest.failf "%s: Invalid_argument %S does not start with %S" name m
         prefix
+
+(* [f ()] must raise [Invalid_argument] whose message contains [needle]. *)
+let check_invalid_arg_mentions name needle f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+  | exception Invalid_argument m ->
+    let n = String.length needle in
+    let rec has i =
+      i + n <= String.length m && (String.sub m i n = needle || has (i + 1))
+    in
+    if not (has 0) then
+      Alcotest.failf "%s: message %S does not name %S" name m needle

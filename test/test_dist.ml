@@ -1,25 +1,6 @@
 open Helpers
 open Dist
 
-(* ---------------- Uniform ---------------- *)
-
-let test_uniform_basics () =
-  let u = Uniform.create ~lo:2. ~hi:6. in
-  check_close "mean" 4. (Uniform.mean u);
-  check_close "variance" (16. /. 12.) (Uniform.variance u);
-  check_close "cdf mid" 0.5 (Uniform.cdf u 4.);
-  check_close "cdf below" 0. (Uniform.cdf u 1.);
-  check_close "cdf above" 1. (Uniform.cdf u 7.);
-  check_close "quantile" 3. (Uniform.quantile u 0.25);
-  check_close "pdf inside" 0.25 (Uniform.pdf u 3.);
-  check_close "pdf outside" 0. (Uniform.pdf u 8.)
-
-let test_uniform_samples () =
-  let u = Uniform.create ~lo:(-1.) ~hi:1. in
-  let xs = samples 20_000 (Uniform.sample u) in
-  check_close "sample mean" ~eps:0.03 0. (mean xs);
-  Array.iter (fun x -> check_true "in range" (x >= -1. && x < 1.)) xs
-
 (* ---------------- Exponential ---------------- *)
 
 let test_exponential_basics () =
@@ -273,50 +254,6 @@ let test_binomial_sample_large_n () =
   check_close "large-n sampler mean" ~eps:0.5 950. (mean xs);
   Array.iter (fun x -> check_true "in support" (x >= 0. && x <= 1000.)) xs
 
-(* ---------------- Gamma ---------------- *)
-
-let test_gamma_exponential_case () =
-  (* shape 1 is Exp(scale). *)
-  let g = Gamma_d.create ~shape:1. ~scale:2. in
-  let e = Exponential.create ~mean:2. in
-  List.iter
-    (fun x ->
-      check_close (Printf.sprintf "cdf at %g" x) ~eps:1e-10
-        (Exponential.cdf e x) (Gamma_d.cdf g x))
-    [ 0.5; 2.; 10. ];
-  check_close "mean" 2. (Gamma_d.mean g);
-  check_close "variance" 4. (Gamma_d.variance g)
-
-let test_gamma_moments_sampling () =
-  List.iter
-    (fun k ->
-      let g = Gamma_d.create ~shape:k ~scale:1.5 in
-      let xs = samples 100_000 (Gamma_d.sample g) in
-      check_close (Printf.sprintf "mean shape %g" k) ~eps:0.05 (Gamma_d.mean g)
-        (mean xs);
-      check_close
-        (Printf.sprintf "variance shape %g" k)
-        ~eps:(0.1 *. Gamma_d.variance g)
-        (Gamma_d.variance g)
-        (Stats.Descriptive.variance xs))
-    [ 0.5; 1.; 3.; 10. ]
-
-let test_gamma_pdf_integrates () =
-  let g = Gamma_d.create ~shape:2.5 ~scale:1. in
-  (* Riemann check: integral of pdf from 0 to 30 ~ 1. *)
-  let acc = ref 0. in
-  let dx = 0.01 in
-  for i = 0 to 3000 do
-    acc := !acc +. (Gamma_d.pdf g (float_of_int i *. dx) *. dx)
-  done;
-  check_close "pdf mass" ~eps:1e-3 1. !acc;
-  check_close "pdf consistent with cdf" ~eps:1e-3 (Gamma_d.cdf g 3.)
-    (let acc = ref 0. in
-     for i = 0 to 300 do
-       acc := !acc +. (Gamma_d.pdf g (float_of_int i *. dx) *. dx)
-     done;
-     !acc)
-
 (* ---------------- Zipf ---------------- *)
 
 let test_zipf () =
@@ -393,8 +330,6 @@ let test_empirical_sample_range () =
 let suite =
   ( "distributions",
     [
-      tc "uniform basics" test_uniform_basics;
-      tc "uniform samples" test_uniform_samples;
       tc "exponential basics" test_exponential_basics;
       prop_exponential_roundtrip;
       tc "exponential sample mean" test_exponential_sample_mean;
@@ -424,9 +359,6 @@ let suite =
       tc "binomial cdf" test_binomial_cdf;
       tc "binomial edge cases" test_binomial_edge;
       tc "binomial large-n sampling" test_binomial_sample_large_n;
-      tc "gamma exponential case" test_gamma_exponential_case;
-      tc "gamma sampling moments" test_gamma_moments_sampling;
-      tc "gamma pdf integrates" test_gamma_pdf_integrates;
       tc "zipf" test_zipf;
       prop_zipf_quantile;
       tc "empirical of_samples" test_empirical_of_samples;

@@ -258,7 +258,8 @@ let test_farm_process_equals_inline () =
 let test_farm_crash_detected () =
   match
     Core.Farm.run ~exe:wanpoisson_exe
-      { small_spec with workers = 3; inject_crash = 1 }
+      ~opts:{ Engine.Job.default_opts with inject_crash = 1 }
+      { small_spec with workers = 3 }
   with
   | Ok _ -> Alcotest.fail "crashed worker went unnoticed"
   | Error e ->
@@ -378,11 +379,9 @@ let test_obs_frame_corruption () =
 let test_farm_stall_detected () =
   match
     Core.Farm.run ~exe:wanpoisson_exe
-      { small_spec with
-        workers = 2;
-        inject_stall = 1;
-        heartbeat_s = 0.1;
-        stall_timeout_s = 0.8 }
+      ~opts:
+        { Engine.Job.default_opts with inject_stall = 1; stall_timeout_s = 0.8 }
+      { small_spec with workers = 2 }
   with
   | Ok _ -> Alcotest.fail "stalled worker went unnoticed"
   | Error e ->
@@ -396,6 +395,76 @@ let test_farm_stall_detected () =
     check_true "names the worker" (mentions "worker 1");
     check_true "calls it stalled" (mentions "stalled")
 
+(* The heartbeat period derives from the deadline (min 1 s, deadline/4),
+   so a healthy worker whose single shard outlasts the deadline many
+   times over still beats in time and completes. *)
+let test_farm_long_shard_completes () =
+  let deadline = 0.4 in
+  check_float_exact "period = deadline / 4" (deadline /. 4.)
+    (Engine.Job.heartbeat_period
+       { Engine.Job.default_opts with stall_timeout_s = deadline });
+  check_float_exact "period capped at 1 s" 1.
+    (Engine.Job.heartbeat_period Engine.Job.default_opts);
+  check_float_exact "period 1 s with the deadline off" 1.
+    (Engine.Job.heartbeat_period
+       { Engine.Job.default_opts with stall_timeout_s = 0. });
+  let spec =
+    { Core.Farm.default with events = 2e7; rate = 1e5; chunk = 8192; shards = 1 }
+  in
+  match
+    Core.Farm.run ~exe:wanpoisson_exe
+      ~opts:{ Engine.Job.default_opts with stall_timeout_s = deadline }
+      spec
+  with
+  | Error e -> Alcotest.fail e
+  | Ok (r, obs) ->
+    check_int "one shard" 1 r.n_macro;
+    List.iter
+      (fun (w : Engine.Manifest.worker_entry) ->
+        check_true
+          (Printf.sprintf "shard ran %.2f s, past the %.2f s deadline"
+             w.wk_wall_s deadline)
+          (w.wk_wall_s > deadline))
+      obs.Engine.Job.o_workers;
+    check_result_equal (Core.Farm.run_inline spec) r
+
+(* Every float field x {nan, inf, -inf} is rejected by [plan] — before
+   any worker spawns — with a message naming the field. *)
+let test_farm_rejects_non_finite () =
+  List.iter
+    (fun (field, set) ->
+      List.iter
+        (fun v ->
+          check_invalid_arg_mentions
+            (Printf.sprintf "%s = %g" field v)
+            field
+            (fun () -> Core.Farm.plan (set small_spec v)))
+        [ nan; infinity; neg_infinity ])
+    [
+      ("events", fun s v -> { s with Core.Farm.events = v });
+      ("rate", fun s v -> { s with Core.Farm.rate = v });
+      ("bin", fun s v -> { s with Core.Farm.bin = v });
+    ]
+
+let spec_gen =
+  QCheck.(
+    map
+      (fun ((events, rate, bin), (chunk, seed, workers), (shards, top_k)) ->
+        { Core.Farm.default with events; rate; bin; chunk; seed; workers; shards; top_k })
+      (triple
+         (triple (float_range 1. 1e9) (float_range 1e-3 1e6) (float_range 1e-6 1e3))
+         (triple (int_range 1 1_000_000) int (int_range 1 64))
+         (pair (int_range 1 4096) (int_range 2 1024))))
+
+let test_farm_spec_json_roundtrip =
+  prop ~count:500 "farm spec -> JSON -> spec is the identity" spec_gen (fun spec ->
+      QCheck.assume
+        (match Core.Farm.plan spec with _ -> true | exception Invalid_argument _ -> false);
+      let job = Core.Farm.job in
+      match Engine.Json.parse (Engine.Json.to_string (job.spec_to_json spec)) with
+      | Error _ -> false
+      | Ok j -> job.spec_of_json j = Ok spec)
+
 let test_farm_trace_merge () =
   Engine.Telemetry.set_enabled true;
   Engine.Telemetry.reset ();
@@ -406,23 +475,24 @@ let test_farm_trace_merge () =
     (fun () ->
       match
         Core.Farm.run ~exe:wanpoisson_exe
-          { small_spec with workers = 3; trace = true; metrics = true }
+          ~opts:{ Engine.Job.default_opts with trace = true; metrics = true }
+          { small_spec with workers = 3 }
       with
       | Error e -> Alcotest.fail e
       | Ok (_, obs) ->
         check_int "one span table per worker" 3
-          (List.length obs.Core.Farm.o_spans);
+          (List.length obs.Engine.Job.o_spans);
         check_int "one counter rollup per worker" 3
-          (List.length obs.Core.Farm.o_counters);
+          (List.length obs.Engine.Job.o_counters);
         check_int "one report per worker" 3
-          (List.length obs.Core.Farm.o_workers);
+          (List.length obs.Engine.Job.o_workers);
         List.iter
-          (fun (w : Core.Farm.worker_report) ->
-            check_true "worker exited cleanly" (w.w_status = "exited 0");
-            check_true "worker counted events" (w.w_events > 0);
-            check_true "worker ran shards" (w.w_shards > 0))
-          obs.Core.Farm.o_workers;
-        let lanes = Core.Farm.trace_processes obs in
+          (fun (w : Engine.Manifest.worker_entry) ->
+            check_true "worker exited cleanly" (w.wk_status = "exited 0");
+            check_true "worker counted events" (w.wk_events > 0);
+            check_true "worker ran shards" (w.wk_shards > 0))
+          obs.Engine.Job.o_workers;
+        let lanes = Engine.Job.trace_processes obs in
         check_int "coordinator + one lane per worker" 4 (List.length lanes);
         check_true "coordinator lane first"
           ((List.hd lanes).Engine.Telemetry.pr_label = "coordinator");
@@ -530,6 +600,10 @@ let suite =
       tc "obs frame round-trip (kinds 16/17/18)" test_obs_frame_roundtrip;
       tc "obs frame per-byte corruption rejected" test_obs_frame_corruption;
       tc "stalled worker detected via heartbeats" test_farm_stall_detected;
+      tc "shard longer than the deadline completes"
+        test_farm_long_shard_completes;
+      tc "non-finite spec floats rejected" test_farm_rejects_non_finite;
+      test_farm_spec_json_roundtrip;
       tc "merged trace: one lane per worker" test_farm_trace_merge;
       tc "manifest farm worker rows" test_manifest_farm_workers;
     ] )

@@ -70,33 +70,6 @@ let test_vbr_custom_params () =
   let rates = Traffic.Vbr.byte_rate_process ~params ~dt:1. ~n:512 r in
   check_close "10 kB/s" ~eps:2500. 10_000. (mean rates)
 
-(* ---------------- FFT-based ACF ---------------- *)
-
-let test_acvf_matches_direct () =
-  let r = rng () in
-  let xs = Array.init 500 (fun _ -> Prng.Rng.float r) in
-  let fft_acf = Timeseries.Acvf.autocorrelations xs 20 in
-  for k = 0 to 20 do
-    check_close
-      (Printf.sprintf "lag %d" k)
-      ~eps:1e-9
-      (Stats.Descriptive.autocorrelation xs k)
-      fft_acf.(k)
-  done
-
-let test_acvf_constant_series () =
-  let xs = Array.make 64 5. in
-  let acf = Timeseries.Acvf.autocorrelations xs 5 in
-  Array.iter (fun v -> check_close "constant series" 0. v) acf
-
-let test_acvf_lag0_variance () =
-  let r = rng () in
-  let xs = Array.init 1000 (fun _ -> Prng.Rng.float r) in
-  let acvf = Timeseries.Acvf.autocovariances xs 0 in
-  check_close "lag-0 is the variance" ~eps:1e-9
-    (Stats.Descriptive.variance xs)
-    acvf.(0)
-
 (* ---------------- Extension experiments ---------------- *)
 
 let test_marginal_experiment () =
@@ -138,9 +111,6 @@ let suite =
       tc "vbr LRD" test_vbr_lrd;
       tc "vbr byte rate" test_vbr_byte_rate;
       tc "vbr custom params" test_vbr_custom_params;
-      tc "acvf matches direct" test_acvf_matches_direct;
-      tc "acvf constant series" test_acvf_constant_series;
-      tc "acvf lag0" test_acvf_lag0_variance;
       tc "marginal experiment" test_marginal_experiment;
       tc "phase experiment" test_phase_experiment;
       tc "vbr experiment" test_vbr_experiment;

@@ -491,6 +491,94 @@ let test_netsim_process_equals_inline () =
           (render small_nspec r = inline))
     [ 1; 2; 5 ]
 
+(* A worker SIGKILLed through the engine's crash hook fails the run with
+   an error naming it, and the coordinator logs netsim.worker_died. *)
+let test_netsim_crash_detected () =
+  Engine.Log.set_enabled true;
+  Engine.Log.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.Log.reset ();
+      Engine.Log.set_enabled false)
+    (fun () ->
+      match
+        Core.Netsim.run ~exe:wanpoisson_exe
+          ~opts:{ Engine.Job.default_opts with inject_crash = 1 }
+          { small_nspec with Core.Netsim.workers = 2 }
+      with
+      | Ok _ -> Alcotest.fail "crashed worker went unnoticed"
+      | Error e ->
+        let mentions needle =
+          let n = String.length needle in
+          let rec go i =
+            i + n <= String.length e && (String.sub e i n = needle || go (i + 1))
+          in
+          go 0
+        in
+        check_true "names the worker" (mentions "worker 1");
+        check_true "names the signal" (mentions "SIGKILL");
+        check_true "logs netsim.worker_died for worker 1"
+          (List.exists
+             (fun (ev : Engine.Log.event) ->
+               ev.ev_name = "netsim.worker_died"
+               && List.assoc_opt "worker" ev.fields = Some (Engine.Log.I 1))
+             (Engine.Log.events ())))
+
+let test_netsim_rejects_non_finite () =
+  List.iter
+    (fun (field, set) ->
+      List.iter
+        (fun v ->
+          check_invalid_arg_mentions
+            (Printf.sprintf "%s = %g" field v)
+            field
+            (fun () -> Core.Netsim.plan (set small_nspec v)))
+        [ nan; infinity; neg_infinity ])
+    [
+      ("events", fun s v -> { s with Core.Netsim.events = v });
+      ("beta", fun s v -> { s with Core.Netsim.beta = v });
+      ("mean-period", fun s v -> { s with Core.Netsim.mean_period = v });
+      ("on-rate", fun s v -> { s with Core.Netsim.on_rate = v });
+      ("rate", fun s v -> { s with Core.Netsim.rate = v });
+      ("load", fun s v -> { s with Core.Netsim.load = v });
+    ];
+  (* The poisson model ignores the ON/OFF fields but still rejects them
+     non-finite: they cross to the workers all the same. *)
+  check_invalid_arg_mentions "poisson, on-rate = inf" "on-rate" (fun () ->
+      Core.Netsim.plan
+        { small_nspec with Core.Netsim.model = "poisson"; on_rate = infinity })
+
+let nspec_gen =
+  QCheck.(
+    map
+      (fun ((model, events, replicas, sources), (beta, mean_period, on_rate, rate),
+            (load, topology, discipline, buffer), (chunk, seed, workers)) ->
+        { Core.Netsim.model; events; replicas; sources; beta; mean_period;
+          on_rate; rate; load; topology; discipline; buffer; chunk; seed;
+          workers })
+      (quad
+         (quad (oneofl [ "onoff"; "poisson" ]) (float_range 1. 1e12)
+            (int_range 1 4096) (int_range 1 1_000_000))
+         (quad (float_range 1.001 10.) (float_range 1e-3 1e3)
+            (float_range 1e-3 1e3) (float_range 1e-3 1e6))
+         (quad (float_range 1e-3 4.)
+            (oneofl [ "tandem:1"; "tandem:8"; "fanin:1"; "fanin:7" ])
+            (oneofl [ "droptail"; "red"; "priority" ])
+            (int_range 1 1_000_000))
+         (triple (int_range 256 (1 lsl 24)) int (int_range 1 1024))))
+
+let test_netsim_spec_json_roundtrip =
+  prop ~count:500 "netsim spec -> JSON -> spec is the identity" nspec_gen
+    (fun spec ->
+      QCheck.assume
+        (match Core.Netsim.plan spec with
+        | _ -> true
+        | exception Invalid_argument _ -> false);
+      let job = Core.Netsim.job in
+      match Engine.Json.parse (Engine.Json.to_string (job.spec_to_json spec)) with
+      | Error _ -> false
+      | Ok j -> job.spec_of_json j = Ok spec)
+
 let suite =
   ( "netsim",
     [
@@ -520,4 +608,8 @@ let suite =
       tc "netsim run_inline deterministic" test_netsim_inline_deterministic;
       tc "netsim processes = inline (workers 1/2/5)"
         test_netsim_process_equals_inline;
+      tc "netsim killed worker detected" test_netsim_crash_detected;
+      tc "netsim non-finite spec floats rejected"
+        test_netsim_rejects_non_finite;
+      test_netsim_spec_json_roundtrip;
     ] )

@@ -1,71 +1,6 @@
-(* Tests for the second wave of hypothesis tests: Ljung-Box, runs,
-   chi-square. *)
+(* Tests for the second wave of hypothesis tests: chi-square and the
+   Pareto goodness-of-fit checks. *)
 open Helpers
-
-let iid n seed =
-  let r = rng ~seed () in
-  Array.init n (fun _ -> Prng.Rng.float r)
-
-let ar1 n phi seed =
-  let r = rng ~seed () in
-  let prev = ref 0. in
-  Array.init n (fun _ ->
-      prev := (phi *. !prev) +. Prng.Rng.float r -. 0.5;
-      !prev)
-
-(* ---------------- Ljung-Box ---------------- *)
-
-let test_lb_accepts_iid () =
-  let passes = ref 0 in
-  for seed = 1 to 100 do
-    if (Stest.Ljung_box.test (iid 300 seed)).Stest.Ljung_box.pass then
-      incr passes
-  done;
-  check_true (Printf.sprintf "pass rate %d/100" !passes) (!passes >= 88)
-
-let test_lb_rejects_ar1 () =
-  let res = Stest.Ljung_box.test (ar1 500 0.5 3) in
-  check_false "AR(1) rejected" res.Stest.Ljung_box.pass;
-  check_true "tiny p" (res.Stest.Ljung_box.p_value < 1e-6)
-
-let test_lb_df () =
-  let res = Stest.Ljung_box.test ~lags:7 (iid 200 5) in
-  check_int "df equals lags" 7 res.Stest.Ljung_box.df;
-  check_true "Q nonnegative" (res.Stest.Ljung_box.q >= 0.)
-
-let test_lb_default_lags () =
-  let res = Stest.Ljung_box.test (iid 40 5) in
-  check_int "min(10, n/5)" 8 res.Stest.Ljung_box.df
-
-(* ---------------- Runs test ---------------- *)
-
-let test_runs_accepts_iid () =
-  let passes = ref 0 in
-  for seed = 1 to 100 do
-    if (Stest.Runs_test.test (iid 200 seed)).Stest.Runs_test.pass then
-      incr passes
-  done;
-  check_true (Printf.sprintf "pass rate %d/100" !passes) (!passes >= 88)
-
-let test_runs_rejects_blocks () =
-  (* 100 lows then 100 highs: exactly 2 runs. *)
-  let xs = Array.init 200 (fun i -> if i < 100 then 0. else 1.) in
-  let res = Stest.Runs_test.test xs in
-  check_int "two runs" 2 res.Stest.Runs_test.runs;
-  check_false "rejected" res.Stest.Runs_test.pass;
-  check_true "z strongly negative" (res.Stest.Runs_test.z < -5.)
-
-let test_runs_rejects_alternating () =
-  let xs = Array.init 200 (fun i -> if i mod 2 = 0 then 0. else 1.) in
-  let res = Stest.Runs_test.test xs in
-  check_int "maximal runs" 200 res.Stest.Runs_test.runs;
-  check_false "rejected" res.Stest.Runs_test.pass;
-  check_true "z strongly positive" (res.Stest.Runs_test.z > 5.)
-
-let test_runs_expected_value () =
-  let xs = Array.init 100 (fun i -> if i mod 2 = 0 then 0. else 1.) in
-  let res = Stest.Runs_test.test xs in
-  check_close "expected runs 2 n+ n- / n + 1" 51. res.Stest.Runs_test.expected
 
 (* ---------------- Chi-square ---------------- *)
 
@@ -150,14 +85,6 @@ let suite =
       tc "pareto gof accepts" test_pareto_gof_accepts;
       tc "pareto gof rejects lognormal" test_pareto_gof_rejects_lognormal;
       tc "pareto gof on burst tail" test_pareto_gof_on_burst_tail;
-      tc "ljung-box accepts iid" test_lb_accepts_iid;
-      tc "ljung-box rejects AR(1)" test_lb_rejects_ar1;
-      tc "ljung-box df" test_lb_df;
-      tc "ljung-box default lags" test_lb_default_lags;
-      tc "runs accepts iid" test_runs_accepts_iid;
-      tc "runs rejects blocks" test_runs_rejects_blocks;
-      tc "runs rejects alternating" test_runs_rejects_alternating;
-      tc "runs expected value" test_runs_expected_value;
       tc "chi2 accepts exponential" test_chi2_accepts_exponential;
       tc "chi2 rejects wrong dist" test_chi2_rejects_wrong_dist;
       tc "chi2 bins" test_chi2_bins;
