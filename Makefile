@@ -129,7 +129,9 @@ stream-smoke:
 # output across runs and flag the injected correlation shift exactly
 # once (the H monitor; the rate and tail monitors are parked at an
 # unreachable threshold so the count is sharp). A stationary Poisson
-# stream through the same monitor must stay quiet.
+# stream through the same monitor must stay quiet. A sparse stdin
+# stream whose windows go silent must run to its summary line: a quiet
+# window reports no H, it does not end the service.
 SERVE_SMOKE_FLAGS = --events 2e5 --rate 100 --window 256 --cadence 64 \
   --seed 42 --h-threshold 0.4 --rate-threshold 1e9 --alpha-threshold 1e9
 
@@ -145,8 +147,12 @@ serve-smoke:
 	dune exec bin/wanpoisson.exe -- serve --source poisson \
 	  $(SERVE_SMOKE_FLAGS) 2>/dev/null > _build/serve_smoke_stat.txt
 	! grep -q '"type":"drift"' _build/serve_smoke_stat.txt
+	printf '1\n2\n1000000\n' > _build/serve_smoke_sparse.in
+	dune exec bin/wanpoisson.exe -- serve --source stdin --bin 1 \
+	  < _build/serve_smoke_sparse.in 2>/dev/null > _build/serve_smoke_sparse.txt
+	grep -q '"type":"summary"' _build/serve_smoke_sparse.txt
 	@echo "serve-smoke: deterministic output, one drift on the splice,"
-	@echo "serve-smoke: quiet on the stationary stream"
+	@echo "serve-smoke: quiet on the stationary stream, quiet windows survive"
 
 # The multi-process farm end to end. The macro-shard grid and the
 # shard-order merge depend only on the spec, never the worker count,
@@ -154,7 +160,8 @@ serve-smoke:
 # fixed seed — no filtering. A worker SIGKILLed mid-run
 # (--inject-crash) must become a nonzero coordinator exit plus a
 # structured farm.worker_died diagnostic naming the worker — never a
-# hang, and never partial results on stdout. Finally the recorded
+# hang, and never partial results on stdout. A run that draws no events
+# at all must still report (total-count 0). Finally the recorded
 # farm-count-1e8 / stream-count-1e8 histories drive the perf gate:
 # the workers=1 farm path (shard streaming + frame round-trips +
 # shard-order merge) must not be slower than the single-process
@@ -176,9 +183,12 @@ farm-smoke:
 	test ! -s _build/farm_smoke_crash.txt
 	grep -q 'farm.worker_died' _build/farm_smoke_crash.err
 	grep -q 'worker=1' _build/farm_smoke_crash.err
+	dune exec bin/wanpoisson.exe -- farm --events 1 --rate 0.001 --bin 1 \
+	  --seed 1 --workers 1 2>/dev/null > _build/farm_smoke_zero.txt
+	grep -q '^  total-count   0$$' _build/farm_smoke_zero.txt
 	$(call perf_gate,stream-count-1e8,farm-count-1e8)
-	@echo "farm-smoke: workers-determinism, crash detection, and the"
-	@echo "farm-smoke: farm-vs-stream perf gate all hold"
+	@echo "farm-smoke: workers-determinism, crash detection, a zero-event"
+	@echo "farm-smoke: run, and the farm-vs-stream perf gate all hold"
 
 # The fused wavelet estimator end to end. The streamed octave energies
 # reproduce the batch Haar decomposition bit for bit, so the

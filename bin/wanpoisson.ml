@@ -785,7 +785,7 @@ let farm_cmd =
   let run model events rate bin chunk seed workers shards inject_crash
       inject_stall o out progress stall_timeout =
     let spec =
-      { Core.Farm.default with model; events; rate; bin; chunk; seed; workers; shards }
+      { Core.Farm.model; events; rate; bin; chunk; seed; workers; shards }
     in
     let opts =
       { Engine.Job.metrics = o.metrics; trace = o.trace <> None;

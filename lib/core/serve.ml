@@ -187,9 +187,8 @@ let bin_stdin ?ia ~bin ~chunk push_counts ic =
        let line = String.trim (input_line ic) in
        if line <> "" && line.[0] <> '#' then
          match float_of_string_opt line with
-         | Some t -> on_event t
-         | None ->
-           invalid_arg (Printf.sprintf "serve: bad event time %S" line)
+         | Some t when Float.is_finite t -> on_event t
+         | _ -> invalid_arg (Printf.sprintf "serve: bad event time %S" line)
      done
    with End_of_file -> ());
   if !seen then emit_bin ();

@@ -22,9 +22,9 @@
       long memory while the rolling wavelet H ([hw]) stays near 0.5 —
       the live demonstration of why the logscale diagram is the
       estimator to trust under nonstationarity;
-    - ["stdin"]: newline-separated non-decreasing event times (blank
-      lines and [#] comments skipped), binned incrementally with no
-      horizon needed up front.
+    - ["stdin"]: newline-separated finite, non-decreasing event times
+      (blank lines and [#] comments skipped), binned incrementally with
+      no horizon needed up front.
 
     Every estimate record also carries rolling per-bin count quantiles
     ([q50]/[q99]/[q999]) read from the window panes'
@@ -76,5 +76,6 @@ type summary = {
 val run : ?fmt:Format.formatter -> spec -> summary
 (** Stream, estimate, detect; returns the end-of-stream summary (also
     printed as the final output record). Raises [Invalid_argument] on an
-    unknown [source], a malformed or non-monotone stdin event time, or
+    unknown [source], a malformed, non-finite or non-monotone stdin
+    event time, or
     window parameters {!Streaming.Window.create} rejects. *)

@@ -44,10 +44,6 @@ type result = {
   resident : int;  (* peak floats resident in the pyramid *)
 }
 
-(* Same accuracy as the farm's per-bin sketches, so the count-q report
-   lines are directly comparable across drivers. *)
-let sketch_accuracy = 0.01
-
 let rs_max_block n_bins = Int.max 1 (Int.min 32768 (n_bins / 4))
 
 (* Shared read-out: the analysis sinks every model's count chunks feed.
@@ -61,7 +57,9 @@ let analysis_sinks n_bins =
     Timeseries.Sink.fold ~init:0. ~f:(fun acc c ->
         Array.fold_left ( +. ) acc c)
   in
-  let sketch = Stats.Quantile_sketch.create ~accuracy:sketch_accuracy () in
+  let sketch =
+    Stats.Quantile_sketch.create ~accuracy:Count_summary.sketch_accuracy ()
+  in
   let sketch_sink =
     Timeseries.Sink.make ~name:"count-sketch"
       ~push:(Array.iter (Stats.Quantile_sketch.add sketch))
@@ -74,19 +72,14 @@ let analysis_sinks n_bins =
   in
   (levels, sink)
 
-let wavelet_of_pyramid pyr =
-  match Lrd.Wavelet.estimate_of_pyramid pyr with
-  | e -> Some e
-  | exception Invalid_argument _ -> None
-
 let result_of ~wavelet ~levels ~n_bins (pyr, (h_rs, (total, sketch))) =
   {
     bins = n_bins;
     total;
     mean = Timeseries.Pyramid.mean pyr;
-    h_vt = Lrd.Hurst.variance_time_of_pyramid ~levels pyr;
+    h_vt = Count_summary.variance_time ~levels pyr;
     h_rs;
-    h_wav = (if wavelet then wavelet_of_pyramid pyr else None);
+    h_wav = (if wavelet then Count_summary.wavelet pyr else None);
     count_sketch = sketch;
     chunks = Timeseries.Pyramid.chunks pyr;
     levels = Timeseries.Pyramid.depth pyr;
@@ -221,7 +214,7 @@ let materialize spec =
     | m -> invalid_arg (Printf.sprintf "Streaming.materialize: unknown model %S" m)
   in
   let n_bins = Array.length counts in
-  let h_vt = Lrd.Hurst.variance_time counts in
+  let h_vt = Count_summary.variance_time_of_counts counts in
   let h_rs =
     if n_bins >= 32 then Lrd.Hurst.rescaled_range ~max_block:(rs_max_block n_bins) counts
     else { Lrd.Hurst.h = nan; slope = nan; r2 = nan }
@@ -235,7 +228,9 @@ let materialize spec =
   in
   (* The identical sketch the streamed path builds: the chunking only
      changes add order, and bucket increments commute. *)
-  let count_sketch = Stats.Quantile_sketch.create ~accuracy:sketch_accuracy () in
+  let count_sketch =
+    Stats.Quantile_sketch.create ~accuracy:Count_summary.sketch_accuracy ()
+  in
   Array.iter (Stats.Quantile_sketch.add count_sketch) counts;
   {
     bins = n_bins;
@@ -251,6 +246,11 @@ let materialize spec =
   }
 
 let run spec =
+  Engine.Job.check_finite "stream"
+    [
+      ("events", spec.events); ("rate", spec.rate); ("bin", spec.bin);
+      ("beta", spec.beta);
+    ];
   if spec.materialized then materialize spec
   else
     let n_bins, levels, out = stream spec in
@@ -266,23 +266,8 @@ let pp fmt spec r =
     r.h_vt.Lrd.Hurst.h r.h_vt.Lrd.Hurst.slope r.h_vt.Lrd.Hurst.r2;
   Format.fprintf fmt "  H(R/S)        %.6f  (r2 %.4f)@." r.h_rs.Lrd.Hurst.h
     r.h_rs.Lrd.Hurst.r2;
-  if spec.wavelet then
-    (match r.h_wav with
-    | Some w ->
-      Format.fprintf fmt
-        "  H(wavelet)    %.6f  (slope %.6f, r2 %.4f, se %.4f, j %d..%d)@."
-        w.Lrd.Wavelet.h w.Lrd.Wavelet.slope w.Lrd.Wavelet.r2
-        w.Lrd.Wavelet.stderr_h w.Lrd.Wavelet.j_lo w.Lrd.Wavelet.j_hi
-    | None -> Format.fprintf fmt "  H(wavelet)    n/a@.");
-  (let q = Stats.Quantile_sketch.quantiles r.count_sketch in
-   match q [ 0.5; 0.9; 0.99; 0.999 ] with
-   | [ p50; p90; p99; p999 ] ->
-     Format.fprintf fmt
-       "  count-q       p50=%.6g p90=%.6g p99=%.6g p999=%.6g  (rel-err <= \
-        %g)@."
-       p50 p90 p99 p999
-       (Stats.Quantile_sketch.accuracy r.count_sketch)
-   | _ -> ());
+  if spec.wavelet then Count_summary.pp_wavelet fmt r.h_wav;
+  Count_summary.pp_count_q fmt r.count_sketch;
   if not spec.materialized then
     Format.fprintf fmt "  pyramid       chunks=%d levels=%d resident-floats=%d@."
       r.chunks r.levels r.resident
@@ -305,53 +290,22 @@ module Window = struct
     q999 : float;
   }
 
-  (* One tumbling pane: a dyadic-ladder pyramid (no registered levels, so
-     every snapshot merge is alignment-legal and every variance-time
-     level exact) plus the pane's top-[k] bin counts for the Hill tail
-     read-out. *)
-  type pane = {
-    pyr : Timeseries.Pyramid.t;
-    top : float array;
-    mutable tn : int;  (* filled slots in [top] *)
-    mutable tmin : int;  (* index of the smallest filled slot *)
-    sk : Stats.Quantile_sketch.t;  (* the pane's per-bin count sketch *)
-  }
-
   type t = {
     kind : kind;
     window : int;  (* pane size in bins; a power of two *)
     cadence : int;  (* sliding emit period; divides [window] *)
     bin : float;
+    top_k : int;
     emit : estimate -> unit;
-    mutable cur : pane;
-    mutable prev : Timeseries.Pyramid.snapshot option;
-    mutable prev_top : float array;  (* completed pane's top-k, sorted desc *)
-    mutable prev_sk : Stats.Quantile_sketch.t option;
-        (* completed pane's sketch; merged with the current partial
-           pane's for the sliding read-out, like the pyramid snapshot *)
-    mutable fill : int;  (* bins in [cur] *)
+    mutable cur : Count_summary.t;  (* the current tumbling pane *)
+    mutable prev : Count_summary.part option;  (* the completed pane *)
     mutable since : int;  (* bins since the last sliding emit *)
     mutable total : int;  (* bins consumed overall *)
     mutable seq : int;  (* estimates emitted *)
   }
 
-  let ceil_pow2 n =
-    let p = ref 1 in
-    while !p < n do
-      p := !p lsl 1
-    done;
-    !p
-
-  let fresh_pane k =
-    {
-      pyr = Timeseries.Pyramid.create ();
-      top = Array.make k neg_infinity;
-      tn = 0;
-      tmin = 0;
-      sk = Stats.Quantile_sketch.create ~accuracy:sketch_accuracy ();
-    }
-
-  let create ~kind ~window ?cadence ?(top_k = 64) ~bin ~emit () =
+  let create ~kind ~window ?cadence ?(top_k = Count_summary.top_k) ~bin ~emit
+      () =
     if window < 16 then
       invalid_arg
         (Printf.sprintf "Streaming.Window.create: window = %d (want >= 16)"
@@ -359,14 +313,12 @@ module Window = struct
     if bin <= 0. then
       invalid_arg
         (Printf.sprintf "Streaming.Window.create: bin = %g (want > 0)" bin);
-    if top_k < 2 then
-      invalid_arg
-        (Printf.sprintf "Streaming.Window.create: top_k = %d (want >= 2)" top_k);
+    let cur = Count_summary.create ~top_k () in
     (* Power-of-two panes make the pane merge unconditionally exact
        (count of the full pane has maximal 2-adic valuation); a
        power-of-two cadence then divides the pane, so emits and pane
        rotations never straddle. *)
-    let window = ceil_pow2 window in
+    let window = Count_summary.ceil_pow2 window in
     let cadence =
       match cadence with
       | None -> Int.max 1 (window / 4)
@@ -375,152 +327,72 @@ module Window = struct
           invalid_arg
             (Printf.sprintf "Streaming.Window.create: cadence = %d (want >= 1)"
                c);
-        Int.min window (ceil_pow2 c)
+        Int.min window (Count_summary.ceil_pow2 c)
     in
     {
       kind;
       window;
       cadence;
       bin;
+      top_k;
       emit;
-      cur = fresh_pane top_k;
+      cur;
       prev = None;
-      prev_top = [||];
-      prev_sk = None;
-      fill = 0;
       since = 0;
       total = 0;
       seq = 0;
     }
 
-  let window t = t.window
-  let cadence t = t.cadence
   let bins t = t.total
 
-  let pane_offer p v =
-    if p.tn < Array.length p.top then begin
-      p.top.(p.tn) <- v;
-      if v < p.top.(p.tmin) then p.tmin <- p.tn;
-      p.tn <- p.tn + 1
-    end
-    else if v > p.top.(p.tmin) then begin
-      p.top.(p.tmin) <- v;
-      (* O(k) rescan only on replacement of the minimum. *)
-      for i = 0 to p.tn - 1 do
-        if p.top.(i) < p.top.(p.tmin) then p.tmin <- i
-      done
-    end
-
-  let sorted_desc_top p =
-    let a = Array.sub p.top 0 p.tn in
-    Array.sort (fun x y -> Float.compare y x) a;
-    a
-
-  (* Hill tail index over the window's largest bin counts: uses the top
-     [k] order statistics with the (k+1)-th as threshold, needing at
-     least 8 positive exceedances of a positive threshold to bother. *)
-  let hill_of_tops tops =
-    let k = Array.length tops - 1 in
-    if k < 8 || tops.(k) <= 0. then nan else Stats.Fit.hill tops ~k
-
-  let merge_desc a b keep =
-    let out = Array.make (Int.min keep (Array.length a + Array.length b)) 0. in
-    let i = ref 0 and j = ref 0 in
-    for o = 0 to Array.length out - 1 do
-      if
-        !j >= Array.length b
-        || (!i < Array.length a && a.(!i) >= b.(!j))
-      then begin
-        out.(o) <- a.(!i);
-        incr i
-      end
-      else begin
-        out.(o) <- b.(!j);
-        incr j
-      end
-    done;
-    out
-
-  (* Dyadic variance-time ladder for a window of [covered] bins: every
-     level is exact in the pane pyramids, and capping at [covered / 8]
-     keeps >= 8 blocks under the shallowest fitted point. *)
-  let vt_levels covered =
-    let rec go m acc = if m > covered / 8 then List.rev acc else go (2 * m) (m :: acc) in
-    go 1 []
-
-  let estimate_of t pyr tops sketch covered =
-    let levels = vt_levels covered in
-    let h =
-      if List.length levels < 3 then { Lrd.Hurst.h = nan; slope = nan; r2 = nan }
-      else Lrd.Hurst.variance_time_of_pyramid ~levels pyr
-    in
+  let estimate_of t s =
     t.seq <- t.seq + 1;
-    let q = Stats.Quantile_sketch.quantile sketch in
+    let q = Stats.Quantile_sketch.quantile (Count_summary.sketch s) in
+    let pyr = Count_summary.pyramid s in
     {
       seq = t.seq;
       upto = t.total;
-      covered;
-      h;
+      covered = Count_summary.count s;
+      h = Count_summary.h_vt s;
       hw =
-        (match Lrd.Wavelet.estimate_of_pyramid pyr with
-        | e -> e.Lrd.Wavelet.h
-        | exception Invalid_argument _ -> nan);
+        (match Count_summary.wavelet pyr with
+        | Some e -> e.Lrd.Wavelet.h
+        | None -> nan);
       rate = Timeseries.Pyramid.mean pyr /. t.bin;
-      alpha = hill_of_tops tops;
+      alpha = Count_summary.alpha s;
       q50 = q 0.5;
       q99 = q 0.99;
       q999 = q 0.999;
     }
 
   let emit_sliding t =
-    let k = Array.length t.cur.top in
-    let cur_top = sorted_desc_top t.cur in
     match t.prev with
-    | None ->
-      if t.fill >= 16 then
-        t.emit (estimate_of t t.cur.pyr cur_top t.cur.sk t.fill)
+    | None -> if Count_summary.count t.cur >= 16 then t.emit (estimate_of t t.cur)
     | Some prev ->
       (* Full previous pane + current partial pane: the rolling window
          covers the last [window + fill] bins. The merge replays
-         concatenation exactly (see {!Timeseries.Pyramid.merge_into});
-         the sketch merge is bucket-wise and order-free. *)
-      let p = Timeseries.Pyramid.of_snapshot prev in
-      Timeseries.Pyramid.merge_into p (Timeseries.Pyramid.snapshot t.cur.pyr);
-      let tops = merge_desc t.prev_top cur_top k in
-      let sk =
-        match t.prev_sk with
-        | None -> t.cur.sk
-        | Some prev_sk -> Stats.Quantile_sketch.merge prev_sk t.cur.sk
-      in
-      t.emit (estimate_of t p tops sk (t.window + t.fill))
+         concatenation exactly (see {!Count_summary.absorb}). *)
+      let s = Count_summary.create ~top_k:t.top_k () in
+      Count_summary.absorb s prev;
+      Count_summary.absorb s (Count_summary.part t.cur);
+      t.emit (estimate_of t s)
 
   let rotate t =
     (match t.kind with
-    | Tumbling ->
-      t.emit (estimate_of t t.cur.pyr (sorted_desc_top t.cur) t.cur.sk t.window)
-    | Sliding ->
-      t.prev <- Some (Timeseries.Pyramid.snapshot t.cur.pyr);
-      t.prev_top <- sorted_desc_top t.cur;
-      t.prev_sk <- Some t.cur.sk);
-    t.cur <- fresh_pane (Array.length t.cur.top);
-    t.fill <- 0
+    | Tumbling -> t.emit (estimate_of t t.cur)
+    | Sliding -> t.prev <- Some (Count_summary.part t.cur));
+    t.cur <- Count_summary.create ~top_k:t.top_k ()
 
   let push_slice t xs pos len =
     let pos = ref pos and len = ref len in
     while !len > 0 do
-      let room = t.window - t.fill in
-      let take = Int.min !len room in
+      let take = Int.min !len (t.window - Count_summary.count t.cur) in
       let take =
         match t.kind with
         | Sliding -> Int.min take (t.cadence - t.since)
         | Tumbling -> take
       in
-      Timeseries.Pyramid.push_slice t.cur.pyr xs !pos take;
-      for i = !pos to !pos + take - 1 do
-        pane_offer t.cur xs.(i);
-        Stats.Quantile_sketch.add t.cur.sk xs.(i)
-      done;
-      t.fill <- t.fill + take;
+      Count_summary.push_slice t.cur xs !pos take;
       t.total <- t.total + take;
       pos := !pos + take;
       len := !len - take;
@@ -532,14 +404,6 @@ module Window = struct
           t.since <- 0
         end
       | Tumbling -> ());
-      if t.fill = t.window then rotate t
+      if Count_summary.count t.cur = t.window then rotate t
     done
-
-  let push t xs = push_slice t xs 0 (Array.length xs)
-
-  let sink t =
-    Timeseries.Sink.make ~name:"window"
-      ~push:(fun chunk -> push t chunk)
-      ~finish:(fun () -> t)
-      ()
 end

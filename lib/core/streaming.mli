@@ -66,10 +66,13 @@ type result = {
 }
 
 val run : spec -> result
-(** Raises [Invalid_argument] on an unknown [model]. The onoff model's
-    streaming and materialized paths are different (equally valid) sample
-    paths — the streaming path gives each source a split RNG sub-stream;
-    the other models agree bit for bit. *)
+(** Raises [Invalid_argument] on an unknown [model] or a non-finite
+    [events], [rate], [bin] or [beta] (naming the field). [h_vt] has
+    [nan] fields when there are too few bins for 2 variance-time levels
+    (under 20) or no events ({!Count_summary.variance_time}). The onoff
+    model's streaming and materialized paths are different (equally
+    valid) sample paths — the streaming path gives each source a split
+    RNG sub-stream; the other models agree bit for bit. *)
 
 val pp : Format.formatter -> spec -> result -> unit
 (** Deterministic fixed-precision report (what [wanpoisson stream]
@@ -80,10 +83,11 @@ val pp : Format.formatter -> spec -> result -> unit
     A window manager consumes bin-count chunks and republishes rolling
     estimates — variance-time Hurst, Hill tail index of the marginal,
     event rate — without ever materialising the window. Both kinds are
-    built from {e tumbling panes}: power-of-two-sized pyramids with a
-    dyadic variance-time ladder, so reading a sliding window is one
-    exact snapshot merge (full previous pane + partial current pane; see
-    {!Timeseries.Pyramid.merge_into}) and never a moment subtraction.
+    built from {e tumbling panes}: power-of-two-sized
+    {!Count_summary}s, so reading a sliding window is one exact in-order
+    merge (the full previous pane's {!Count_summary.part}, then the
+    partial current pane's; see {!Count_summary.absorb}) and never a
+    moment subtraction. Every read-out is {!Count_summary}'s.
 
     - [Tumbling]: one estimate per completed pane, covering exactly
       [window] bins.
@@ -101,24 +105,14 @@ module Window : sig
     seq : int;  (** 1-based estimate index. *)
     upto : int;  (** Bins consumed when this estimate was emitted. *)
     covered : int;  (** Bins the estimate covers (ending at [upto]). *)
-    h : Lrd.Hurst.estimate;
-        (** Variance-time Hurst over the window's dyadic ladder
-            ([nan] when the window is too shallow for 3 levels). *)
+    (* The {!Count_summary} read-outs over the covered bins. *)
+    h : Lrd.Hurst.estimate;  (** Variance-time H ([nan] when too short or quiet). *)
     hw : float;
-        (** Rolling Abry-Veitch wavelet H over the same merged window
-            pyramid ([nan] when too few octaves) — the estimator that
-            stays honest under diurnal drift, where the variance-time
-            ladder absorbs the trend as spurious long memory. *)
+        (** Wavelet H ([nan] when too few octaves); unlike [h], honest
+            under diurnal drift, which the ladder reads as long memory. *)
     rate : float;  (** Events per time unit: mean bin count / bin width. *)
-    alpha : float;
-        (** Hill tail index over the window's top-[top_k] bin counts
-            ([nan] when fewer than 9 positive exceedances). *)
-    q50 : float;
-        (** Rolling per-bin count quantiles over the covered window,
-            read from the panes' {!Stats.Quantile_sketch}es (1%
-            accuracy); the sliding read-out merges the previous pane's
-            sketch with the current partial one, exactly like the
-            pyramid snapshot. *)
+    alpha : float;  (** Hill tail index over the top-[top_k] bin counts. *)
+    q50 : float;  (** Per-bin count quantiles (1% accuracy). *)
     q99 : float;
     q999 : float;
   }
@@ -141,19 +135,11 @@ module Window : sig
       [Invalid_argument] when [window < 16], [bin <= 0], [cadence < 1]
       or [top_k < 2]. *)
 
-  val push : t -> float array -> unit
-  (** Feed bin counts; [emit] fires synchronously as boundaries pass. *)
-
   val push_slice : t -> float array -> int -> int -> unit
-
-  val window : t -> int
-  (** The effective (rounded) pane size. *)
-
-  val cadence : t -> int
+  (** [push_slice t xs pos len] feeds the bin counts
+      [xs.(pos .. pos+len-1)]; [emit] fires synchronously as boundaries
+      pass. *)
 
   val bins : t -> int
   (** Total bins consumed. *)
-
-  val sink : t -> t Timeseries.Sink.t
-  (** The manager as a chunked consumer ([finish] hands it back). *)
 end

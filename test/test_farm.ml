@@ -181,6 +181,109 @@ let test_snapshot_codec_rejects () =
   | Error e -> check_true "names the version" (String.length e > 0)
   | Ok _ -> Alcotest.fail "unknown codec version accepted"
 
+(* ---------------- Core.Count_summary ---------------- *)
+
+let summary_of xs pos len =
+  let s = Core.Count_summary.create () in
+  Core.Count_summary.push_slice s xs pos len;
+  s
+
+(* Everything the read-out prints. The event total, the tail (alpha),
+   the sketch (quantiles) and the wavelet octave energies merge exactly,
+   so those compare as raw float bits; the pyramid's moment accumulators
+   merge with merge-order rounding (see Timeseries.Pyramid), so the mean
+   and the variance-time fit compare to 1e-12 relative. *)
+let readout s =
+  let pyr = Core.Count_summary.pyramid s in
+  let h = Core.Count_summary.h_vt s in
+  let hw =
+    match Core.Count_summary.wavelet pyr with
+    | Some w -> [ w.Lrd.Wavelet.h; w.Lrd.Wavelet.slope; w.Lrd.Wavelet.stderr_h ]
+    | None -> []
+  in
+  ( List.map bits
+      ((Core.Count_summary.total s :: Core.Count_summary.alpha s :: hw)
+      @ Stats.Quantile_sketch.quantiles (Core.Count_summary.sketch s)
+          [ 0.; 0.5; 0.9; 0.99; 0.999; 1. ]),
+    [ Timeseries.Pyramid.mean pyr; h.Lrd.Hurst.h; h.Lrd.Hurst.slope; h.Lrd.Hurst.r2 ] )
+
+let same_readout a b =
+  let exact_a, near_a = readout a and exact_b, near_b = readout b in
+  exact_a = exact_b
+  && List.for_all2
+       (fun x y ->
+         (Float.is_nan x && Float.is_nan y)
+         || Float.abs (x -. y) <= 1e-12 *. Float.max 1. (Float.abs y))
+       near_a near_b
+
+(* (seed, n, e): n random counts — a heavy-ish upper tail, quiet
+   stretches — cut into runs of 2^e bins, the farm's shard layout. *)
+let count_series_gen =
+  QCheck.(triple (int_bound 10_000) (int_range 1 3000) (int_range 0 9))
+
+let counts_of (seed, n, _) =
+  let r = rng ~seed () in
+  Array.init n (fun i ->
+      if i mod 97 < 20 then 0.
+      else Float.round (8. *. Prng.Rng.float r ** 3. *. (1. +. Prng.Rng.float r)))
+
+let test_summary_absorb_equals_whole =
+  prop ~count:300 "summary: in-order absorb of parts = summary of the whole"
+    count_series_gen (fun ((_, n, e) as g) ->
+      let xs = counts_of g and run = 1 lsl e in
+      let merged = Core.Count_summary.create () in
+      let pos = ref 0 in
+      while !pos < n do
+        let len = Int.min run (n - !pos) in
+        Core.Count_summary.absorb merged
+          (Core.Count_summary.part (summary_of xs !pos len));
+        pos := !pos + len
+      done;
+      same_readout merged (summary_of xs 0 n))
+
+let test_summary_codec_roundtrip =
+  prop ~count:200 "summary: part codec round-trips" count_series_gen
+    (fun ((_, n, _) as g) ->
+      let s = summary_of (counts_of g) 0 n in
+      let wire = Core.Count_summary.encode (Core.Count_summary.part s) in
+      match Core.Count_summary.decode wire with
+      | Error _ -> false
+      | Ok p ->
+        let s' = Core.Count_summary.create () in
+        Core.Count_summary.absorb s' p;
+        Core.Count_summary.encode p = wire && same_readout s' s)
+
+let test_summary_codec_rejects () =
+  let xs = counts_of (3, 500, 64) in
+  let wire = Core.Count_summary.encode (Core.Count_summary.part (summary_of xs 0 500)) in
+  let rejected what bytes =
+    match Core.Count_summary.decode bytes with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s accepted" what
+  in
+  for len = 0 to String.length wire - 1 do
+    rejected (Printf.sprintf "prefix of %d bytes" len) (String.sub wire 0 len)
+  done;
+  rejected "trailing garbage" (wire ^ "\x00");
+  let corrupt off c =
+    let b = Bytes.of_string wire in
+    Bytes.set b off c;
+    Bytes.to_string b
+  in
+  (* Event total (8 bytes), tail length (4), 64 tail values, snapshot
+     length (2), then the snapshot's codec version byte. *)
+  rejected "huge tail length" (corrupt 11 '\x7f');
+  rejected "unknown snapshot version" (corrupt (8 + 4 + (64 * 8) + 2) '\x63')
+
+(* An all-zero run has no trustworthy H: no estimate, not an exception. *)
+let test_summary_quiet_run () =
+  let s = summary_of (Array.make 4096 0.) 0 4096 in
+  let h = Core.Count_summary.h_vt s in
+  check_true "no H" (Float.is_nan h.Lrd.Hurst.h && Float.is_nan h.Lrd.Hurst.r2);
+  check_true "no alpha" (Float.is_nan (Core.Count_summary.alpha s));
+  check_true "ladder below 3 levels is empty" (Core.Count_summary.ladder 31 = []);
+  Alcotest.(check (list int)) "ladder" [ 1; 2; 4 ] (Core.Count_summary.ladder 32)
+
 (* ---------------- Core.Farm ---------------- *)
 
 (* Small spec with several macro-shards: 100 bins, gen_bins = 8,
@@ -189,28 +292,13 @@ let small_spec =
   { Core.Farm.default with
     events = 1e5;
     chunk = 8192;
-    shards = 16;
-    top_k = 16 }
+    shards = 16 }
 
-let check_result_equal (a : Core.Farm.result) (b : Core.Farm.result) =
-  check_int "bins" a.bins b.bins;
-  check_int "macro_bins" a.macro_bins b.macro_bins;
-  check_int "n_macro" a.n_macro b.n_macro;
-  check_float_exact "total" a.total b.total;
-  check_float_exact "mean" a.mean b.mean;
-  check_float_exact "h" a.h_vt.Lrd.Hurst.h b.h_vt.Lrd.Hurst.h;
-  check_float_exact "slope" a.h_vt.Lrd.Hurst.slope b.h_vt.Lrd.Hurst.slope;
-  check_float_exact "r2" a.h_vt.Lrd.Hurst.r2 b.h_vt.Lrd.Hurst.r2;
-  (match (a.h_wav, b.h_wav) with
-  | None, None -> ()
-  | Some wa, Some wb ->
-    check_float_exact "wav h" wa.Lrd.Wavelet.h wb.Lrd.Wavelet.h;
-    check_float_exact "wav slope" wa.Lrd.Wavelet.slope wb.Lrd.Wavelet.slope;
-    check_float_exact "wav stderr" wa.Lrd.Wavelet.stderr_h
-      wb.Lrd.Wavelet.stderr_h
-  | _ -> Alcotest.fail "h_wav presence differs");
-  check_float_exact "alpha" a.alpha b.alpha;
-  check_int "levels" a.levels b.levels
+(* Merged summaries are equal when their states encode to the same
+   bytes: every float of the pyramid, tail and sketch, bit for bit. *)
+let check_result_equal a b =
+  let wire s = Core.Count_summary.encode (Core.Count_summary.part s) in
+  check_true "merged summaries bit-identical" (wire a = wire b)
 
 let test_plan () =
   let p = Core.Farm.plan small_spec in
@@ -234,12 +322,13 @@ let test_inline_deterministic () =
   check_result_equal a b;
   (* Sanity of the read-outs for a Poisson stream: total within 2% of
      the expectation, mean/bin near rate * bin, H near 1/2. *)
-  check_true "total sane" (Float.abs (a.total -. 1e5) < 2e3);
-  check_true "mean sane" (Float.abs (a.mean -. 1000.) < 20.);
-  check_true "H sane"
-    (a.h_vt.Lrd.Hurst.h > 0.2 && a.h_vt.Lrd.Hurst.h < 0.8);
-  check_true "wavelet read-out present" (a.h_wav <> None);
-  check_true "alpha positive" (a.alpha > 0.)
+  let pyr = Core.Count_summary.pyramid a in
+  let h = (Core.Count_summary.h_vt a).Lrd.Hurst.h in
+  check_true "total sane" (Float.abs (Core.Count_summary.total a -. 1e5) < 2e3);
+  check_true "mean sane" (Float.abs (Timeseries.Pyramid.mean pyr -. 1000.) < 20.);
+  check_true "H sane" (h > 0.2 && h < 0.8);
+  check_true "wavelet read-out present" (Core.Count_summary.wavelet pyr <> None);
+  check_true "alpha positive" (Core.Count_summary.alpha a > 0.)
 
 let test_farm_process_equals_inline () =
   let inline = Core.Farm.run_inline small_spec in
@@ -415,7 +504,7 @@ let test_farm_long_shard_completes () =
   with
   | Error e -> Alcotest.fail e
   | Ok (r, obs) ->
-    check_int "one shard" 1 r.n_macro;
+    check_int "one shard" 1 (Core.Farm.plan spec).n_macro;
     List.iter
       (fun (w : Engine.Manifest.worker_entry) ->
         check_true
@@ -446,12 +535,12 @@ let test_farm_rejects_non_finite () =
 let spec_gen =
   QCheck.(
     map
-      (fun ((events, rate, bin), (chunk, seed, workers), (shards, top_k)) ->
-        { Core.Farm.default with events; rate; bin; chunk; seed; workers; shards; top_k })
+      (fun ((events, rate, bin), (chunk, seed, workers), shards) ->
+        { Core.Farm.default with events; rate; bin; chunk; seed; workers; shards })
       (triple
          (triple (float_range 1. 1e9) (float_range 1e-3 1e6) (float_range 1e-6 1e3))
          (triple (int_range 1 1_000_000) int (int_range 1 64))
-         (pair (int_range 1 4096) (int_range 2 1024))))
+         (int_range 1 4096)))
 
 let test_farm_spec_json_roundtrip =
   prop ~count:500 "farm spec -> JSON -> spec is the identity" spec_gen (fun spec ->
@@ -589,6 +678,10 @@ let suite =
       tc "snapshot wire merge = in-process merge"
         test_snapshot_codec_merge_equals_inprocess;
       tc "snapshot codec rejects malformed input" test_snapshot_codec_rejects;
+      test_summary_absorb_equals_whole;
+      test_summary_codec_roundtrip;
+      tc "summary codec rejects malformed input" test_summary_codec_rejects;
+      tc "summary of a quiet run: no estimate" test_summary_quiet_run;
       tc "plan: fixed grid, poisson-only" test_plan;
       tc "run_inline deterministic + sane" test_inline_deterministic;
       tc "farm processes = inline (workers 1/2/5)"

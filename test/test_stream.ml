@@ -383,12 +383,6 @@ let test_window_sliding_matches_batch () =
   let n = 2348 in
   let xs = Array.init n (fun _ -> 5. +. Prng.Rng.float r) in
   let bin = 0.5 in
-  let vt_levels covered =
-    let rec go m acc =
-      if m > covered / 8 then List.rev acc else go (2 * m) (m :: acc)
-    in
-    go 1 []
-  in
   let run kind window cadence =
     let ests = ref [] in
     let win =
@@ -416,8 +410,8 @@ let test_window_sliding_matches_batch () =
           Timeseries.Pyramid.push pyr (Array.sub xs lo e.covered);
           check_true "rate"
             (relative e.rate (Timeseries.Pyramid.mean pyr /. bin) < 1e-9);
-          let levels = vt_levels e.covered in
-          if List.length levels >= 3 then begin
+          let levels = Core.Count_summary.ladder e.covered in
+          if levels <> [] then begin
             let h = Lrd.Hurst.variance_time_of_pyramid ~levels pyr in
             check_true "H"
               (relative e.h.Lrd.Hurst.h h.Lrd.Hurst.h < 1e-9
@@ -429,6 +423,35 @@ let test_window_sliding_matches_batch () =
       (Core.Streaming.Window.Sliding, 128, 128);
       (Core.Streaming.Window.Tumbling, 256, 256);
     ]
+
+(* Quiet windows and non-finite input through the CLI: a window with no
+   events reports no H ("h":null, nan) and the run goes on; non-finite
+   stdin times and spec floats are rejected naming the value. *)
+let test_cli_quiet_and_non_finite () =
+  let serve_stdin text =
+    let path = Filename.temp_file "wanpoisson" ".events" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    at_exit (fun () -> Sys.remove path);
+    "serve --source stdin --bin 1 < " ^ Filename.quote path
+  in
+  check_cli_rows
+    ([
+       ( serve_stdin "1\n2\n1000000\n", 0,
+         [ "\"h\":null"; "\"type\":\"summary\",\"bins\":1000001,\"events\":3" ] );
+       ( "farm --workers 1 --events 1 --rate 0.001 --bin 1 --seed 1", 0,
+         [ "total-count   0"; "H(var-time)   nan" ] );
+       ("stream --events 1e3 --bin 100", 0, [ "H(var-time)   nan" ]);
+       ("stream --events 1e3 --bin 100 --materialized", 0, [ "H(var-time)   nan" ]);
+       ("stream --events nan", 124, [ "stream: events must be finite" ]);
+       ("stream --rate inf", 124, [ "stream: rate must be finite" ]);
+       ("stream --bin nan", 124, [ "stream: bin must be finite" ]);
+       ("stream --beta=-inf", 124, [ "stream: beta must be finite" ]);
+     ]
+    @ List.map
+        (fun v ->
+          ( serve_stdin ("1\n" ^ v ^ "\n"), 124,
+            [ Printf.sprintf "serve: bad event time \"%s\"" v ] ))
+        [ "nan"; "inf"; "-inf" ])
 
 (* ---------------- sink combinators ---------------- *)
 
@@ -839,6 +862,7 @@ let suite =
       tc "pyramid resampled levels" test_pyramid_resampled_levels;
       tc "sliding window = batch over covered bins"
         test_window_sliding_matches_batch;
+      tc "cli: quiet windows and non-finite input" test_cli_quiet_and_non_finite;
       tc "sink combinators" test_sink_combinators;
       tc "sink counts = Counts.of_events" test_sink_counts_matches_of_events;
       tc "sink counts rejects unsorted" test_sink_counts_rejects_unsorted;

@@ -243,7 +243,7 @@ let test_window_rolling_hw_finite () =
   let r = rng () in
   for _ = 1 to 32 do
     let buf = Array.init 64 (fun _ -> Prng.Rng.float r *. 5.) in
-    Core.Streaming.Window.push mgr buf
+    Core.Streaming.Window.push_slice mgr buf 0 64
   done;
   check_true "estimates emitted" (List.length !out > 0);
   List.iter
