@@ -131,7 +131,9 @@ stream-smoke:
 # unreachable threshold so the count is sharp). A stationary Poisson
 # stream through the same monitor must stay quiet. A sparse stdin
 # stream whose windows go silent must run to its summary line: a quiet
-# window reports no H, it does not end the service.
+# window reports no H, it does not end the service — and no wavelet H
+# outside [0, 1) either (a zero-energy octave is unusable, so such a
+# window prints "hw":null, never one fitted through a floor).
 SERVE_SMOKE_FLAGS = --events 2e5 --rate 100 --window 256 --cadence 64 \
   --seed 42 --h-threshold 0.4 --rate-threshold 1e9 --alpha-threshold 1e9
 
@@ -151,6 +153,7 @@ serve-smoke:
 	dune exec bin/wanpoisson.exe -- serve --source stdin --bin 1 \
 	  < _build/serve_smoke_sparse.in 2>/dev/null > _build/serve_smoke_sparse.txt
 	grep -q '"type":"summary"' _build/serve_smoke_sparse.txt
+	! grep -Eq '"hw":(-|[1-9])' _build/serve_smoke_sparse.txt
 	@echo "serve-smoke: deterministic output, one drift on the splice,"
 	@echo "serve-smoke: quiet on the stationary stream, quiet windows survive"
 
@@ -161,7 +164,8 @@ serve-smoke:
 # (--inject-crash) must become a nonzero coordinator exit plus a
 # structured farm.worker_died diagnostic naming the worker — never a
 # hang, and never partial results on stdout. A run that draws no events
-# at all must still report (total-count 0). Finally the recorded
+# at all must still report (total-count 0), with no wavelet H made of
+# nothing (H(wavelet) n/a). Finally the recorded
 # farm-count-1e8 / stream-count-1e8 histories drive the perf gate:
 # the workers=1 farm path (shard streaming + frame round-trips +
 # shard-order merge) must not be slower than the single-process
@@ -186,6 +190,7 @@ farm-smoke:
 	dune exec bin/wanpoisson.exe -- farm --events 1 --rate 0.001 --bin 1 \
 	  --seed 1 --workers 1 2>/dev/null > _build/farm_smoke_zero.txt
 	grep -q '^  total-count   0$$' _build/farm_smoke_zero.txt
+	grep -q '^  H(wavelet)    n/a$$' _build/farm_smoke_zero.txt
 	$(call perf_gate,stream-count-1e8,farm-count-1e8)
 	@echo "farm-smoke: workers-determinism, crash detection, a zero-event"
 	@echo "farm-smoke: run, and the farm-vs-stream perf gate all hold"

@@ -446,18 +446,24 @@ let proto_arg =
          ~doc:"Restrict to one protocol (telnet, ftp, ftpdata, smtp, nntp, \
                www, rlogin, x11); default: all connections")
 
-(* A file is a packet trace iff its header says so. *)
-let is_packet_trace path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      match String.split_on_char '\t' (input_line ic) with
-      | "# pkttrace" :: _ -> true
-      | _ -> false
-      | exception End_of_file -> false)
+(* A trace file that cannot be read or parsed, or whose contents cannot
+   support the analysis asked for, ends the command: the reason goes to
+   stderr and the exit code is 2. *)
+let input_error msg =
+  prerr_endline ("wanpoisson: " ^ msg);
+  exit 2
 
-(* (arrival times, span) from either trace format. *)
+let load_or_exit = function Ok x -> x | Error msg -> input_error msg
+
+(* A file is a packet trace iff its header says so; an unreadable or
+   empty file is left to the connection-trace loader to name. *)
+let is_packet_trace path =
+  match In_channel.with_open_text path In_channel.input_line with
+  | Some line -> String.split_on_char '\t' line |> List.hd = "# pkttrace"
+  | None | (exception Sys_error _) -> false
+
+(* (arrival times, span) from either trace format; a bad file exits 2,
+   an unknown --protocol is an [Error]. *)
 let load_arrivals path proto =
   let proto_of p =
     match Trace.Record.protocol_of_string p with
@@ -465,7 +471,7 @@ let load_arrivals path proto =
     | Some proto -> Ok proto
   in
   if is_packet_trace path then begin
-    let t = Trace.Packet_io.load path in
+    let t = load_or_exit (Trace.Packet_io.load path) in
     match proto with
     | None -> Ok (Trace.Packet_io.times t (), t.Trace.Packet_io.span)
     | Some p ->
@@ -475,7 +481,7 @@ let load_arrivals path proto =
         (proto_of p)
   end
   else begin
-    let trace = Trace.Io.load path in
+    let trace = load_or_exit (Trace.Io.load path) in
     let span = trace.Trace.Record.span in
     match proto with
     | None -> Ok (Trace.Record.starts trace.Trace.Record.connections, span)
@@ -501,7 +507,7 @@ let check_cmd =
     match load_arrivals file proto with
     | Error e -> `Error (false, e)
     | Ok (arrivals, _) when Array.length arrivals < 10 ->
-      `Error (false, "too few arrivals to test")
+      input_error "too few arrivals to test"
     | Ok (arrivals, span) ->
       let v = Stest.Poisson_check.check ~interval ~duration:span arrivals in
       Format.printf "%s (%d arrivals): %a@." file (Array.length arrivals)
@@ -559,7 +565,7 @@ let summary_cmd =
            ~doc:"Trace file written by $(b,gen)")
   in
   let run file =
-    let trace = Trace.Io.load file in
+    let trace = load_or_exit (Trace.Io.load file) in
     Format.printf "%s (%.1f h)@." trace.Trace.Record.name
       (trace.Trace.Record.span /. 3600.);
     Format.printf "%a@." Trace.Summary.pp trace
@@ -582,10 +588,9 @@ let analyze_cmd =
     match load_arrivals file proto with
     | Error e -> `Error (false, e)
     | Ok (arrivals, _) when Array.length arrivals < 100 ->
-      `Error (false, "too few arrivals for a full analysis")
+      input_error "too few arrivals for a full analysis"
     | Ok (arrivals, span) ->
-      if span /. bin < 512. then
-        `Error (false, "span/bin too small; lower --bin")
+      if span /. bin < 512. then input_error "span/bin too small; lower --bin"
       else begin
         let report = Core.Analyze.arrivals ~bin ~span arrivals in
         Format.printf "%a@." Core.Analyze.pp report;
@@ -613,7 +618,7 @@ let hurst_cmd =
     match load_arrivals file proto with
     | Error e -> `Error (false, e)
     | Ok (arrivals, _) when Array.length arrivals < 100 ->
-      `Error (false, "too few arrivals for LRD analysis")
+      input_error "too few arrivals for LRD analysis"
     | Ok (arrivals, span) ->
       let counts = Timeseries.Counts.of_events ~bin ~t_end:span arrivals in
       let vt = Lrd.Hurst.variance_time counts in

@@ -212,7 +212,7 @@ let fig8_data () =
         Trace.Bursts.spacings
           (Trace.Record.filter_protocol trace Trace.Record.Ftpdata)
       in
-      (name, Stats.Histogram.ecdf_grid spacings (log_grid 0.01 3000. 40)))
+      (name, Stats.Descriptive.ecdf_grid spacings (log_grid 0.01 3000. 40)))
     fig8_datasets
 
 let fig8 ctx =

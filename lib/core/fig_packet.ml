@@ -72,7 +72,7 @@ let fig3_data () =
   {
     grid;
     trace_cdf =
-      Array.map snd (Stats.Histogram.ecdf_grid gaps grid);
+      Array.map snd (Stats.Descriptive.ecdf_grid gaps grid);
     tcplib_cdf = Array.map (Dist.Empirical.cdf Tcplib.Telnet.interarrival) grid;
     exp_geometric_cdf = Array.map (Dist.Exponential.cdf fit1) grid;
     exp_arithmetic_cdf = Array.map (Dist.Exponential.cdf fit2) grid;

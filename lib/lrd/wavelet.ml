@@ -13,10 +13,11 @@ type estimate = {
    the unnormalised sum of (s_L - s_R)^2 over the pairs of adjacent
    level-(j-1) block sums. Dividing by 2^j is exact (power of two), so
    identical raw energies yield bit-identical log2 energies on both
-   paths. The 1e-300 floor keeps an all-zero octave finite. *)
+   paths. An all-zero octave has no logarithm: it reads [neg_infinity],
+   and [estimate_octaves] skips it like an empty one. *)
 let log2_energy_of_raw ~j ~pairs raw =
   let energy = raw /. float_of_int (1 lsl j) /. float_of_int pairs in
-  log (Float.max energy 1e-300) /. log 2.
+  log energy /. log 2.
 
 (* Haar cascade on unnormalised pair sums — the same recurrence
    [Timeseries.Pyramid] streams: octave j's detail is s_L - s_R over
@@ -82,7 +83,13 @@ let estimate_octaves ?(j_lo = 2) ?j_hi octaves =
   let points =
     List.filter_map
       (fun o ->
-        if o.j >= j_lo && o.j <= j_hi && o.n_coeffs > 0 then
+        (* A zero-energy octave (a window with no variation at that
+           scale) carries no scaling information; fitting its log would
+           invent an H. *)
+        if
+          o.j >= j_lo && o.j <= j_hi && o.n_coeffs > 0
+          && Float.is_finite o.log2_energy
+        then
           Some (float_of_int o.j, o.log2_energy)
         else None)
       octaves

@@ -36,10 +36,14 @@ val octaves_of_pyramid : Timeseries.Pyramid.t -> octave list
 val estimate_octaves : ?j_lo:int -> ?j_hi:int -> octave list -> estimate
 (** OLS of log2 energy on octave over [j_lo, j_hi] (defaults: 2 to the
     largest octave with at least 8 coefficients), weighted equally.
-    H = (slope + 1) / 2. Raises [Invalid_argument] naming the bounds
-    when the window holds fewer than 2 usable octaves (e.g. a series
-    just over the 16-observation minimum, where the default window is
-    empty or a single octave — no degenerate nan/0-stderr fit). *)
+    H = (slope + 1) / 2. An octave is usable when it has coefficients
+    and non-zero energy: a zero-energy octave ([log2_energy =
+    neg_infinity], a series with no variation at that scale) is skipped
+    like an empty one. Raises [Invalid_argument] naming the bounds when
+    the window holds fewer than 2 usable octaves (e.g. a series just
+    over the 16-observation minimum, where the default window is empty
+    or a single octave, or an all-zero window — no degenerate
+    nan/0-stderr fit). *)
 
 val estimate : ?j_lo:int -> ?j_hi:int -> float array -> estimate
 (** [estimate_octaves] of [decompose]. The default window needs at

@@ -10,118 +10,64 @@ type stats = {
   dropped : int;
 }
 
-(* Per-arrival stepping state, shared by the materialized [simulate] and
-   the chunked [sink] so both run the identical Lindley recursion. *)
-type state = {
-  in_system : float Queue.t;
-      (* departure times of packets still in the system, oldest first;
-         lets a finite buffer be checked at each arrival *)
-  mutable last_departure : float;
-  mutable busy : float;
-  mutable served : int;
-  mutable dropped : int;
-  mutable sum_wait : float;
-  mutable sum_sojourn : float;
-  mutable max_wait : float;
-  mutable first_arrival : float;
-}
-
-let make_state () =
-  {
-    in_system = Queue.create ();
-    last_departure = neg_infinity;
-    busy = 0.;
-    served = 0;
-    dropped = 0;
-    sum_wait = 0.;
-    sum_sojourn = 0.;
-    max_wait = 0.;
-    first_arrival = nan;
-  }
-
-let step st ?buffer ~service rng record_wait t =
-  if Float.is_nan st.first_arrival then st.first_arrival <- t;
-  while (not (Queue.is_empty st.in_system)) && Queue.peek st.in_system <= t do
-    ignore (Queue.pop st.in_system)
-  done;
-  let queue_ok =
-    match buffer with
-    | None -> true
-    | Some b -> Queue.length st.in_system <= b
-    (* length includes the packet in service; [b] waiting slots. *)
-  in
-  if not queue_ok then st.dropped <- st.dropped + 1
-  else begin
-    let s = service rng in
-    assert (s > 0.);
-    let start = Float.max t st.last_departure in
-    let departure = start +. s in
-    let wait = start -. t in
-    st.last_departure <- departure;
-    Queue.push departure st.in_system;
-    st.busy <- st.busy +. s;
-    st.served <- st.served + 1;
-    st.sum_wait <- st.sum_wait +. wait;
-    st.sum_sojourn <- st.sum_sojourn +. wait +. s;
-    if wait > st.max_wait then st.max_wait <- wait;
-    record_wait wait
-  end
-
-let finish_stats st ~p50_wait ~p99_wait ~p999_wait =
-  let served_f = float_of_int (Int.max 1 st.served) in
-  let horizon = Float.max (st.last_departure -. st.first_arrival) 1e-9 in
-  {
-    n = st.served;
-    mean_wait = st.sum_wait /. served_f;
-    mean_sojourn = st.sum_sojourn /. served_f;
-    max_wait = st.max_wait;
-    p50_wait;
-    p99_wait;
-    p999_wait;
-    utilization = st.busy /. horizon;
-    dropped = st.dropped;
-  }
-
 let simulate ?buffer ~arrivals ~service rng =
   let n = Array.length arrivals in
   assert (n > 0);
-  let st = make_state () in
+  (* Departure times of packets still in the system, oldest first; lets
+     a finite buffer be checked at each arrival. *)
+  let in_system = Queue.create () in
+  let last_departure = ref neg_infinity in
+  let busy = ref 0. and served = ref 0 and dropped = ref 0 in
+  let sum_wait = ref 0. and sum_sojourn = ref 0. and max_wait = ref 0. in
   let waits = ref [] in
   Array.iter
-    (fun t -> step st ?buffer ~service rng (fun w -> waits := w :: !waits) t)
+    (fun t ->
+      while (not (Queue.is_empty in_system)) && Queue.peek in_system <= t do
+        ignore (Queue.pop in_system)
+      done;
+      let queue_ok =
+        match buffer with
+        | None -> true
+        | Some b -> Queue.length in_system <= b
+        (* length includes the packet in service; [b] waiting slots. *)
+      in
+      if not queue_ok then incr dropped
+      else begin
+        let s = service rng in
+        assert (s > 0.);
+        let start = Float.max t !last_departure in
+        let departure = start +. s in
+        let wait = start -. t in
+        last_departure := departure;
+        Queue.push departure in_system;
+        busy := !busy +. s;
+        incr served;
+        sum_wait := !sum_wait +. wait;
+        sum_sojourn := !sum_sojourn +. wait +. s;
+        if wait > !max_wait then max_wait := wait;
+        waits := wait :: !waits
+      end)
     arrivals;
   let wait_arr = Array.of_list !waits in
   let q p =
     if Array.length wait_arr = 0 then 0.
     else Stats.Descriptive.quantile wait_arr p
   in
-  finish_stats st ~p50_wait:(q 0.5) ~p99_wait:(q 0.99) ~p999_wait:(q 0.999)
+  let served_f = float_of_int (Int.max 1 !served) in
+  let horizon = Float.max (!last_departure -. arrivals.(0)) 1e-9 in
+  {
+    n = !served;
+    mean_wait = !sum_wait /. served_f;
+    mean_sojourn = !sum_sojourn /. served_f;
+    max_wait = !max_wait;
+    p50_wait = q 0.5;
+    p99_wait = q 0.99;
+    p999_wait = q 0.999;
+    utilization = !busy /. horizon;
+    dropped = !dropped;
+  }
 
 let simulate_const ?buffer ~arrivals ~service_time () =
   assert (service_time > 0.);
   let rng = Prng.Rng.create 0 in
   simulate ?buffer ~arrivals ~service:(fun _ -> service_time) rng
-
-(* Streaming waiting-time quantiles: every wait goes into a mergeable
-   log-bucketed sketch (PR 9), so p50/p99/p999 come out with a bounded
-   relative value error (1%) in O(log range / accuracy) memory — no
-   materialized delay array, and strictly tighter than the log-spaced
-   histogram (one bin = ~2.3%) it replaces. *)
-let sketch_accuracy = 0.01
-
-let sink ?buffer ~service rng =
-  let st = make_state () in
-  let sketch = Stats.Quantile_sketch.create ~accuracy:sketch_accuracy () in
-  let record_wait w = Stats.Quantile_sketch.add sketch w in
-  let push arrivals =
-    Array.iter (fun t -> step st ?buffer ~service rng record_wait t) arrivals
-  in
-  let finish () =
-    if st.served = 0 && st.dropped = 0 then
-      invalid_arg "Fifo.sink: no arrivals pushed";
-    let q p =
-      if st.served = 0 then 0. else Stats.Quantile_sketch.quantile sketch p
-    in
-    finish_stats st ~p50_wait:(q 0.5) ~p99_wait:(q 0.99) ~p999_wait:(q 0.999)
-  in
-  Timeseries.Sink.make ~name:"fifo" ~push ~finish ()

@@ -30,19 +30,3 @@ val simulate :
 val simulate_const :
   ?buffer:int -> arrivals:float array -> service_time:float -> unit -> stats
 (** Deterministic service times. *)
-
-val sink :
-  ?buffer:int ->
-  service:(Prng.Rng.t -> float) ->
-  Prng.Rng.t ->
-  stats Timeseries.Sink.t
-(** Chunked-consumer form of {!simulate}: push sorted arrival-time
-    chunks, then [finish]. Runs the identical Lindley recursion, so
-    [n], [mean_wait], [mean_sojourn], [max_wait], [utilization] and
-    [dropped] equal {!simulate}'s exactly; [p50_wait]/[p99_wait]/
-    [p999_wait] come from a {!Stats.Quantile_sketch} (1% accuracy, so
-    each is within 1% relative value error of some wait whose rank is
-    within the sketch's documented bound of the target, and never above
-    [max_wait]) instead of storing every wait — memory is O(queue depth
-    + sketch buckets), independent of trace length. [finish] raises
-    [Invalid_argument] if no arrivals were pushed. *)

@@ -46,55 +46,6 @@ let simulate ~k ~arrivals ~service rng =
     mean_in_system = !sum_sojourn /. horizon;
   }
 
-(* Streaming FCFS across k servers in O(k) state: the chunked
-   counterpart of [simulate], with the k server free times in the
-   shared SoA index-heap instead of a materialized (start, dep) array
-   per arrival. [min_key] + [replace_min] is [pop] + [push] in one
-   sift, and only the free-time multiset matters, so the computed waits
-   are bit-identical to [simulate]'s. *)
-let sink ~k ~service rng =
-  if k < 1 then invalid_arg "Mgk.sink: k must be >= 1";
-  let servers = Traffic.Fheap.create ~cap:k () in
-  for _ = 1 to k do
-    Traffic.Fheap.push servers neg_infinity 0
-  done;
-  let served = ref 0 in
-  let sum_wait = ref 0. in
-  let max_wait = ref 0. in
-  let sum_sojourn = ref 0. in
-  let first_arrival = ref nan in
-  let last_dep = ref nan in
-  let push arrivals =
-    Array.iter
-      (fun t ->
-        if Float.is_nan !first_arrival then first_arrival := t;
-        let free = Traffic.Fheap.min_key servers in
-        let start = Float.max t free in
-        let s = service rng in
-        assert (s > 0.);
-        let dep = start +. s in
-        Traffic.Fheap.replace_min servers dep 0;
-        incr served;
-        let wait = start -. t in
-        sum_wait := !sum_wait +. wait;
-        if wait > !max_wait then max_wait := wait;
-        sum_sojourn := !sum_sojourn +. (dep -. t);
-        last_dep := dep)
-      arrivals
-  in
-  let finish () =
-    if !served = 0 then invalid_arg "Mgk.sink: no arrivals pushed";
-    let n = float_of_int !served in
-    {
-      served = !served;
-      mean_wait = !sum_wait /. n;
-      max_wait = !max_wait;
-      mean_in_system =
-        !sum_sojourn /. Float.max 1e-9 (!last_dep -. !first_arrival);
-    }
-  in
-  Timeseries.Sink.make ~name:"mgk" ~push ~finish ()
-
 let count_process ~k ~rate ~service ~dt ~n ?warmup rng =
   assert (k >= 1 && rate > 0. && dt > 0. && n > 0);
   let span = float_of_int n *. dt in

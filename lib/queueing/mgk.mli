@@ -21,17 +21,6 @@ val simulate :
 (** FCFS across [k] servers; arrivals must be sorted. Requires [k >= 1]
     and at least one arrival. *)
 
-val sink :
-  k:int ->
-  service:(Prng.Rng.t -> float) ->
-  Prng.Rng.t ->
-  stats Timeseries.Sink.t
-(** Chunked {!simulate}: push sorted arrival slices, finish to the same
-    stats (bit-identical — the k server free times live in the shared
-    index-heap, and only their multiset matters), in O(k) live memory
-    regardless of how many arrivals stream through. Raises
-    [Invalid_argument] on [k < 1] or finishing with no arrivals. *)
-
 val count_process :
   k:int ->
   rate:float ->

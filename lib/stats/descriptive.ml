@@ -79,3 +79,20 @@ let diffs xs =
 let summary xs =
   Printf.sprintf "n=%d mean=%.6g std=%.6g min=%.6g med=%.6g max=%.6g"
     (Array.length xs) (mean xs) (std xs) (minimum xs) (median xs) (maximum xs)
+
+let ecdf_grid xs grid =
+  let sorted = Array.copy xs in
+  Array.sort Float.compare sorted;
+  let n = Array.length sorted in
+  let count_le x =
+    (* Binary search: number of samples <= x. *)
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if sorted.(mid) <= x then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  in
+  Array.map
+    (fun g -> (g, float_of_int (count_le g) /. float_of_int (Int.max 1 n)))
+    grid

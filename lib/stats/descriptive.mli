@@ -36,3 +36,9 @@ val diffs : float array -> float array
 
 val summary : float array -> string
 (** Human-readable one-line summary (n, mean, std, min, median, max). *)
+
+val ecdf_grid : float array -> float array -> (float * float) array
+(** [ecdf_grid xs grid] evaluates the empirical CDF of samples [xs] at
+    each point of [grid], returning (grid point, fraction <= point) —
+    the sampling grid behind the paper's printed distribution figures.
+    An empty [xs] gives 0 everywhere. *)

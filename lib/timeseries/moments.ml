@@ -1,7 +1,6 @@
 type t = { mutable n : int; mutable mean : float; mutable m2 : float }
 
 let create () = { n = 0; mean = 0.; m2 = 0. }
-let copy t = { n = t.n; mean = t.mean; m2 = t.m2 }
 
 let add t x =
   let n = t.n + 1 in
@@ -28,44 +27,6 @@ let merge_counts dst n_b mean_b m2_b =
       dst.n <- n
     end
   end
-
-let merge_into dst src = merge_counts dst src.n src.mean src.m2
-
-let merge a b =
-  let t = copy a in
-  merge_into t b;
-  t
-
-let remove_counts dst n_b mean_b m2_b =
-  if n_b < 0 then
-    invalid_arg (Printf.sprintf "Moments.remove_counts: n = %d (want >= 0)" n_b);
-  if n_b > dst.n then
-    invalid_arg
-      (Printf.sprintf "Moments.remove_counts: removing %d of %d observations"
-         n_b dst.n);
-  if n_b > 0 then
-    if n_b = dst.n then begin
-      dst.n <- 0;
-      dst.mean <- 0.;
-      dst.m2 <- 0.
-    end
-    else begin
-      (* Invert Chan's combine: recover the left operand of
-         [merge_counts dst_rest (n_b, mean_b, m2_b)]. Subject to
-         cancellation when the removed batch dominates — callers on hot
-         paths should prefer paired tumbling accumulators and keep this
-         for bounded decrements (e.g. expiring one window pane). *)
-      let na = float_of_int (dst.n - n_b) and nb = float_of_int n_b in
-      let nf = na +. nb in
-      let mean_a = ((nf *. dst.mean) -. (nb *. mean_b)) /. na in
-      let d = mean_b -. mean_a in
-      let m2_a = dst.m2 -. m2_b -. (d *. d *. (na *. nb /. nf)) in
-      dst.n <- dst.n - n_b;
-      dst.mean <- mean_a;
-      dst.m2 <- Float.max 0. m2_a
-    end
-
-let remove_into dst src = remove_counts dst src.n src.mean src.m2
 
 let add_slice t xs pos len =
   if len = 1 then add t xs.(pos)

@@ -5,8 +5,9 @@
     after a single pass over the data. [add] is Welford's online update;
     [add_slice] folds a contiguous slice with a two-pass reduction and
     then Chan-merges it (faster and slightly more accurate than
-    element-wise updates); [merge_into] is Chan's parallel combine, used
-    both across chunk boundaries and across generation shards. *)
+    element-wise updates); [merge_counts] is Chan's parallel combine of a
+    pre-summarised batch, used both across chunk boundaries and across
+    generation shards. *)
 
 type t = {
   mutable n : int;
@@ -17,8 +18,6 @@ type t = {
 val create : unit -> t
 (** Empty accumulator: [n = 0], [mean = 0], [m2 = 0]. *)
 
-val copy : t -> t
-
 val add : t -> float -> unit
 (** Welford single-observation update. *)
 
@@ -26,33 +25,12 @@ val add_slice : t -> float array -> int -> int -> unit
 (** [add_slice t xs pos len]: fold [xs.(pos .. pos+len-1)] into [t]
     (two-pass over the slice, then one Chan merge). *)
 
-val merge_into : t -> t -> unit
-(** [merge_into dst src]: Chan's pairwise combine; [src] is unchanged. *)
-
-val merge : t -> t -> t
-(** Pure Chan combine: a fresh accumulator equal to [merge_into (copy a) b].
-    Both operands are unchanged — the snapshot-friendly form of the
-    window/shard merge algebra. *)
-
 val merge_counts : t -> int -> float -> float -> unit
 (** [merge_counts t n mean m2]: Chan-merge a pre-summarised batch of [n]
     observations with the given mean and sum of squared deviations —
-    the primitive behind [add_slice] and [merge_into], exposed for
-    callers that compute the batch summary in a fused pass. *)
-
-val remove_counts : t -> int -> float -> float -> unit
-(** [remove_counts t n mean m2]: inverse of {!merge_counts} — subtract a
-    previously-merged batch of [n] observations summarised by [mean] and
-    [m2], leaving the moments of the remaining observations. Exact in
-    exact arithmetic; in floats it loses precision when the removed
-    batch dominates the accumulator (catastrophic cancellation), so the
-    windowed estimators keep it off the hot path (paired tumbling
-    pyramids) and use it only for bounded decrements. [m2] is clamped at
-    0. Raises [Invalid_argument] when [n < 0] or [n > count t]. *)
-
-val remove_into : t -> t -> unit
-(** [remove_into dst src]: {!remove_counts} with [src]'s summary;
-    [src] is unchanged. *)
+    the primitive behind [add_slice], exposed for callers that compute
+    the batch summary in a fused pass (the pyramid's cascade) or merge
+    shipped summaries (its snapshot merge). *)
 
 val count : t -> int
 

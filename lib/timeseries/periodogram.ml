@@ -16,23 +16,6 @@ let compute xs =
   in
   { freqs; power }
 
-let welch ?(segments = 8) xs =
-  assert (segments >= 1);
-  let n = Array.length xs in
-  let seg_len = n / segments in
-  assert (seg_len >= 8);
-  let parts =
-    List.init segments (fun s -> compute (Array.sub xs (s * seg_len) seg_len))
-  in
-  let first = List.hd parts in
-  let m = Array.length first.freqs in
-  let power =
-    Array.init m (fun j ->
-        List.fold_left (fun acc p -> acc +. p.power.(j)) 0. parts
-        /. float_of_int segments)
-  in
-  { freqs = Array.copy first.freqs; power }
-
 let low_frequency t ~fraction =
   assert (fraction > 0. && fraction <= 1.);
   let n = Array.length t.freqs in

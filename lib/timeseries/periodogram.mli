@@ -16,10 +16,3 @@ val compute : float array -> t
 val low_frequency : t -> fraction:float -> t
 (** Keep only the lowest [fraction] of the frequencies (used by the
     log-periodogram Hurst regression). Keeps at least 2 points. *)
-
-val welch : ?segments:int -> float array -> t
-(** Welch's averaged periodogram: split the (demeaned) series into
-    [segments] non-overlapping pieces (default 8), average their raw
-    periodograms. Much lower variance per ordinate at the cost of
-    frequency resolution — the smoothing used for readable spectrum
-    plots. Requires enough data for at least 4 points per segment. *)

@@ -534,9 +534,6 @@ let stat t m =
           stat_of_moments ~requested:m ~served:(1 lsl k) ~exact:false
             t.levels.(k).moments)
 
-let registered t =
-  Array.to_list t.subs |> List.map (fun s -> s.sm) |> List.sort compare
-
 (* ---- wavelet octave energies ----
 
    Octave j's Haar detail coefficients are (s_L - s_R) / 2^(j/2) over
@@ -562,12 +559,15 @@ let wavelet_octaves t =
 
 (* ---- snapshot / merge ----
 
-   A snapshot is a cheap immutable copy of the full analysis state:
-   per-level moment summaries plus carries, and per-subscriber moment
-   summaries (stage pre-flushed) plus partial-block cursors. Merging is
+   A snapshot is a cheap immutable copy of the dyadic analysis state:
+   per-level moment summaries, detail energies and carries. Merging is
    the concatenation algebra: [merge_into dst s] leaves [dst] equal (block
    sums and carries bit-for-bit, moment accumulators to merge-order
    rounding) to the pyramid that consumed dst's stream followed by s's.
+   Registered levels never take part: their partial-block cursors would
+   have to land on the concatenated stream's block boundaries, and no
+   caller merges them, so a pyramid with registered levels can neither
+   be snapshotted nor merged into.
 
    Exactness needs alignment. Writing a = count dst, b = count s and
    v = v2(a) (the 2-adic valuation), a dyadic block of the concatenated
@@ -578,10 +578,7 @@ let wavelet_octaves t =
    carry) or is exactly the pair (dst's level-v carry, s's level-v
    carry), which propagates up the cascade like a binary-addition carry
    chain. Equal power-of-two shards therefore always merge exactly, at
-   any count. Registered level m additionally needs m | a (and, for
-   decomposed subscribers, 2^(src+shift) | a) whenever s has consumed
-   any level-[src] value; otherwise s's block boundaries do not land on
-   the concatenated stream's. Violations raise Invalid_argument. *)
+   any count. Violations raise Invalid_argument. *)
 
 type level_snapshot = {
   ls_n : int;
@@ -592,28 +589,18 @@ type level_snapshot = {
   ls_denergy : float;
 }
 
-type sub_snapshot = {
-  ss_sm : int;
-  ss_n : int;
-  ss_mean : float;
-  ss_m2 : float;  (* smoments with the stage pre-flushed *)
-  ss_ssum : float;
-  ss_scnt : int;
-  ss_i_raw : int;
-  ss_b_raw : int;
-  ss_q_aux : int;
-  ss_b_aux : int;
-  ss_pend_base : int;
-  ss_pend : (float * float) array;  (* (raw, aux) for blocks from pend_base *)
-}
+type snapshot = { sn_levels : level_snapshot array; sn_chunks : int }
 
-type snapshot = {
-  sn_levels : level_snapshot array;
-  sn_subs : sub_snapshot array;
-  sn_chunks : int;
-}
+let dyadic_only fn t =
+  if Array.length t.subs > 0 then
+    invalid_arg
+      (Printf.sprintf
+         "Pyramid.%s: the pyramid has registered levels (only level-free \
+          pyramids snapshot and merge)"
+         fn)
 
 let snapshot t =
+  dyadic_only "snapshot" t;
   let levels =
     Array.init t.nlevels (fun k ->
         let lev = t.levels.(k) in
@@ -626,64 +613,16 @@ let snapshot t =
           ls_denergy = lev.denergy;
         })
   in
-  let subs =
-    Array.map
-      (fun sub ->
-        let m = Moments.copy sub.smoments in
-        if sub.nstage > 0 then Moments.add_slice m sub.stage 0 sub.nstage;
-        let span =
-          if sub.shift = 0 then 0
-          else Int.max 0 (Int.max sub.b_raw sub.b_aux + 1 - sub.pend_base)
-        in
-        let mask = Array.length sub.pend_raw - 1 in
-        {
-          ss_sm = sub.sm;
-          ss_n = Moments.count m;
-          ss_mean = m.Moments.mean;
-          ss_m2 = m.Moments.m2;
-          ss_ssum = sub.ssum;
-          ss_scnt = sub.scnt;
-          ss_i_raw = sub.i_raw;
-          ss_b_raw = sub.b_raw;
-          ss_q_aux = sub.q_aux;
-          ss_b_aux = sub.b_aux;
-          ss_pend_base = sub.pend_base;
-          ss_pend =
-            Array.init span (fun i ->
-                let s = (sub.pend_base + i) land mask in
-                (sub.pend_raw.(s), sub.pend_aux.(s)));
-        })
-      t.subs
-  in
-  { sn_levels = levels; sn_subs = subs; sn_chunks = t.nchunks }
+  { sn_levels = levels; sn_chunks = t.nchunks }
 
 let snapshot_count s =
   if Array.length s.sn_levels = 0 then 0 else s.sn_levels.(0).ls_n
 
-let snapshot_registered s =
-  Array.to_list s.sn_subs |> List.map (fun ss -> ss.ss_sm) |> List.sort compare
-
-(* Feed one completed level-[k] value through every consumer of that
-   level — the single-value form of the per-level fan-out in
-   [push_slice], used by the merge carry chain. *)
-let feed_level_value t k v =
-  let one = [| v |] in
-  Array.iter
-    (fun sub ->
-      if sub.src = k then begin
-        if sub.shift = 0 then feed_direct sub one 0 1
-        else feed_decomp_raw sub one 0 1
-      end
-      else if sub.shift > 0 && sub.src + sub.shift = k then
-        feed_decomp_aux sub one 0 1)
-    t.subs
-
 (* Insert a completed level-[k] value produced by the merge boundary:
-   count it, feed consumers, and pair it with the level's carry —
-   possibly rippling further up, exactly like binary addition. *)
+   count it and pair it with the level's carry — possibly rippling
+   further up, exactly like binary addition. *)
 let rec insert_value t k v =
   ensure_level t k;
-  feed_level_value t k v;
   let lev = t.levels.(k) in
   Moments.add lev.moments v;
   if k < max_depth then begin
@@ -699,115 +638,51 @@ let rec insert_value t k v =
     end
   end
 
-let adopt_sub sub (ss : sub_snapshot) ~dv ~db ~da =
-  flush_stage sub;
-  Moments.merge_counts sub.smoments ss.ss_n ss.ss_mean ss.ss_m2;
-  sub.ssum <- ss.ss_ssum;
-  sub.scnt <- ss.ss_scnt;
-  if sub.shift > 0 then begin
-    sub.i_raw <- dv + ss.ss_i_raw;
-    sub.q_aux <- da + ss.ss_q_aux;
-    set_raw_block sub (db + ss.ss_b_raw);
-    set_aux_block sub (db + ss.ss_b_aux);
-    sub.pend_base <- db + ss.ss_pend_base;
-    let span = Array.length ss.ss_pend in
-    let cap = ref (Int.max 8 (Array.length sub.pend_raw)) in
-    while span > !cap do
-      cap := 2 * !cap
-    done;
-    sub.pend_raw <- Array.make !cap 0.;
-    sub.pend_aux <- Array.make !cap 0.;
-    let mask = !cap - 1 in
-    Array.iteri
-      (fun i (raw, aux) ->
-        let s = (sub.pend_base + i) land mask in
-        sub.pend_raw.(s) <- raw;
-        sub.pend_aux.(s) <- aux)
-      ss.ss_pend
-  end
-
 let merge_into t s =
-  if snapshot_registered s <> registered t then
-    invalid_arg
-      "Pyramid.merge_into: operands track different registered levels";
+  dyadic_only "merge_into" t;
   let b = snapshot_count s in
   if b > 0 then begin
     let a = count t in
-    if a = 0 then begin
-      (* Adopt the snapshot wholesale: it is already a valid state. *)
-      Array.iteri
-        (fun k ls ->
-          ensure_level t k;
-          let lev = t.levels.(k) in
-          Moments.merge_counts lev.moments ls.ls_n ls.ls_mean ls.ls_m2;
-          lev.denergy <- lev.denergy +. ls.ls_denergy;
+    (* Into an empty pyramid the snapshot is adopted wholesale (v is
+       past every level, so every carry is kept): it is already a valid
+       state. *)
+    let v = if a = 0 then max_int else Int.min max_depth (valuation a) in
+    if a > 0 && b > 1 lsl v then
+      invalid_arg
+        (Printf.sprintf
+           "Pyramid.merge_into: %d values cannot merge after %d (need \
+            count <= 2^v2 = %d; align shards to power-of-two lengths)"
+           b a (1 lsl v));
+    (* Dyadic moments (and detail energies), and carries below the
+       boundary level. Since b <= 2^v the right side formed no pairs at
+       levels >= v, so its energy subtotals there are zero and levels
+       >= v stay bit-identical to inline concatenation; below v the
+       subtotal add is merge-order rounding, same policy as moments. *)
+    Array.iteri
+      (fun k ls ->
+        ensure_level t k;
+        let lev = t.levels.(k) in
+        Moments.merge_counts lev.moments ls.ls_n ls.ls_mean ls.ls_m2;
+        lev.denergy <- lev.denergy +. ls.ls_denergy;
+        if ls.ls_have_carry && k < v then begin
           lev.carry <- ls.ls_carry;
-          lev.have_carry <- ls.ls_have_carry)
-        s.sn_levels;
-      Array.iteri
-        (fun i ss -> adopt_sub t.subs.(i) ss ~dv:0 ~db:0 ~da:0)
-        s.sn_subs
-    end
-    else begin
-      let v = Int.min max_depth (valuation a) in
-      if b > 1 lsl v then
-        invalid_arg
-          (Printf.sprintf
-             "Pyramid.merge_into: %d values cannot merge after %d (need \
-              count <= 2^v2 = %d; align shards to power-of-two lengths)"
-             b a (1 lsl v));
-      Array.iteri
-        (fun i ss ->
-          let sub = t.subs.(i) in
-          if ss.ss_i_raw > 0 || ss.ss_scnt > 0 || ss.ss_n > 0 then begin
-            if a mod sub.sm <> 0 then
-              invalid_arg
-                (Printf.sprintf
-                   "Pyramid.merge_into: registered level %d does not \
-                    divide the left count %d"
-                   sub.sm a);
-            if sub.shift > 0 && a land ((1 lsl (sub.src + sub.shift)) - 1) <> 0
-            then
-              invalid_arg
-                (Printf.sprintf
-                   "Pyramid.merge_into: level %d needs the left count \
-                    aligned to 2^%d, got %d"
-                   sub.sm (sub.src + sub.shift) a);
-            adopt_sub sub ss ~dv:(a lsr sub.src) ~db:(a / sub.sm)
-              ~da:(a lsr (sub.src + sub.shift))
-          end)
-        s.sn_subs;
-      (* Dyadic moments (and detail energies), and carries below the
-         boundary level. Since b <= 2^v the right side formed no pairs at
-         levels >= v, so its energy subtotals there are zero and levels
-         >= v stay bit-identical to inline concatenation; below v the
-         subtotal add is merge-order rounding, same policy as moments. *)
-      Array.iteri
-        (fun k ls ->
-          ensure_level t k;
-          let lev = t.levels.(k) in
-          Moments.merge_counts lev.moments ls.ls_n ls.ls_mean ls.ls_m2;
-          lev.denergy <- lev.denergy +. ls.ls_denergy;
-          if ls.ls_have_carry && k < v then begin
-            lev.carry <- ls.ls_carry;
-            lev.have_carry <- true
-          end)
-        s.sn_levels;
-      (* The one straddling block: both sides' level-v carries pair. *)
-      if Array.length s.sn_levels > v && s.sn_levels.(v).ls_have_carry then begin
-        let lev = t.levels.(v) in
-        lev.have_carry <- false;
-        let d = lev.carry -. s.sn_levels.(v).ls_carry in
-        lev.denergy <- lev.denergy +. (d *. d);
-        insert_value t (v + 1) (lev.carry +. s.sn_levels.(v).ls_carry)
-      end
+          lev.have_carry <- true
+        end)
+      s.sn_levels;
+    (* The one straddling block: both sides' level-v carries pair. *)
+    if Array.length s.sn_levels > v && s.sn_levels.(v).ls_have_carry then begin
+      let lev = t.levels.(v) in
+      lev.have_carry <- false;
+      let d = lev.carry -. s.sn_levels.(v).ls_carry in
+      lev.denergy <- lev.denergy +. (d *. d);
+      insert_value t (v + 1) (lev.carry +. s.sn_levels.(v).ls_carry)
     end;
     t.nchunks <- t.nchunks + s.sn_chunks;
     note_peak t
   end
 
 let of_snapshot s =
-  let t = create ~levels:(snapshot_registered s) () in
+  let t = create () in
   merge_into t s;
   t
 
@@ -824,8 +699,9 @@ let merge a b =
    The farm ships these as frame payloads between worker and
    coordinator processes. *)
 
-(* Version 2 added [ls_denergy] (the per-level Haar detail energy). *)
-let snapshot_codec_version = 2
+(* Version 2 added [ls_denergy] (the per-level Haar detail energy);
+   version 3 dropped the registered-level section. *)
+let snapshot_codec_version = 3
 
 let snapshot_to_string s =
   let open Engine.Frame.Wr in
@@ -842,27 +718,6 @@ let snapshot_to_string s =
       u8 b (if ls.ls_have_carry then 1 else 0);
       f64 b ls.ls_denergy)
     s.sn_levels;
-  u16 b (Array.length s.sn_subs);
-  Array.iter
-    (fun ss ->
-      u32 b ss.ss_sm;
-      i64 b ss.ss_n;
-      f64 b ss.ss_mean;
-      f64 b ss.ss_m2;
-      f64 b ss.ss_ssum;
-      i64 b ss.ss_scnt;
-      i64 b ss.ss_i_raw;
-      i64 b ss.ss_b_raw;
-      i64 b ss.ss_q_aux;
-      i64 b ss.ss_b_aux;
-      i64 b ss.ss_pend_base;
-      u16 b (Array.length ss.ss_pend);
-      Array.iter
-        (fun (raw, aux) ->
-          f64 b raw;
-          f64 b aux)
-        ss.ss_pend)
-    s.sn_subs;
   Buffer.contents b
 
 let snapshot_of_string bytes =
@@ -890,46 +745,8 @@ let snapshot_of_string bytes =
           let ls_denergy = f64 c in
           { ls_n; ls_mean; ls_m2; ls_carry; ls_have_carry; ls_denergy })
     in
-    let nsub = u16 c in
-    let sn_subs =
-      Array.init nsub (fun _ ->
-          let ss_sm = u32 c in
-          if ss_sm < 1 || is_pow2 ss_sm then
-            raise (Malformed (Printf.sprintf "registered level %d" ss_sm));
-          let ss_n = nonneg "subscriber count" (i64 c) in
-          let ss_mean = f64 c in
-          let ss_m2 = f64 c in
-          let ss_ssum = f64 c in
-          let ss_scnt = nonneg "partial-block count" (i64 c) in
-          let ss_i_raw = nonneg "raw cursor" (i64 c) in
-          let ss_b_raw = nonneg "raw block" (i64 c) in
-          let ss_q_aux = nonneg "aux cursor" (i64 c) in
-          let ss_b_aux = nonneg "aux block" (i64 c) in
-          let ss_pend_base = nonneg "pending base" (i64 c) in
-          let npend = u16 c in
-          let ss_pend =
-            Array.init npend (fun _ ->
-                let raw = f64 c in
-                let aux = f64 c in
-                (raw, aux))
-          in
-          {
-            ss_sm;
-            ss_n;
-            ss_mean;
-            ss_m2;
-            ss_ssum;
-            ss_scnt;
-            ss_i_raw;
-            ss_b_raw;
-            ss_q_aux;
-            ss_b_aux;
-            ss_pend_base;
-            ss_pend;
-          })
-    in
     if not (at_end c) then raise (Malformed "trailing bytes");
-    { sn_levels; sn_subs; sn_chunks }
+    { sn_levels; sn_chunks }
   with
   | s -> Ok s
   | exception Malformed m -> Error ("Pyramid.snapshot_of_string: " ^ m)

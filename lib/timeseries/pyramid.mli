@@ -75,9 +75,6 @@ val stat : t -> int -> level_stat option
     {e means} (what the variance-time plot wants) is
     [var_sum /. (served^2)]. *)
 
-val registered : t -> int list
-(** The exact non-dyadic levels, ascending. *)
-
 (** {1 Wavelet octave energies}
 
     The cascade pairs adjacent level-(j-1) block sums [(s_L, s_R)] to
@@ -107,13 +104,16 @@ val wavelet_octaves : t -> octave_energy list
 
 (** {1 Snapshot / merge algebra}
 
-    The lifecycle-managed contract behind windowed estimation and the
-    multi-process trace farm: [create] → [push]* → [snapshot] →
-    [merge] → read out. A snapshot is an immutable, self-contained copy
-    of the analysis state — O(levels + subscribers) floats, never the
-    data — and merging replays concatenation: if pyramid [a] consumed a
-    stream's first half and [b] its second half, then
-    [merge (snapshot a) (snapshot b)] equals the single-pass batch
+    The contract behind the windowed estimators and the multi-process
+    trace farm: [create ()] → [push]* → [snapshot] → [merge] → read out.
+    Only {e level-free} pyramids (no registered levels) take part: the
+    algebra covers the dyadic ladder, the wavelet energies and the
+    carries, and [snapshot] and [merge_into] raise [Invalid_argument] on
+    a pyramid created with registered levels. A snapshot is an
+    immutable, self-contained copy of the analysis state — O(levels)
+    floats, never the data — and merging replays concatenation: if
+    pyramid [a] consumed a stream's first half and [b] its second half,
+    then [merge (snapshot a) (snapshot b)] equals the single-pass batch
     pyramid on the whole stream, with every dyadic block sum and carry
     {e bit-for-bit} identical and moment accumulators equal to
     merge-order rounding (the property suite pins 1e-12 relative).
@@ -121,32 +121,29 @@ val wavelet_octaves : t -> octave_energy list
     Exactness requires alignment of the {e left} operand, because the
     right operand's block boundaries must land on the concatenated
     stream's: with [a = count dst] and [b] the snapshot's count, the
-    contract is [b <= 2^v2(a)] (so equal power-of-two shards fold
-    exactly at any count), plus [m | a] — and [2^(src+shift) | a] for
-    decomposed subscribers — for each registered level [m] the snapshot
-    has touched. Violations raise [Invalid_argument]; the merged
-    pyramid remains open for further [push]es. *)
+    contract is [b <= 2^v2(a)], so equal power-of-two shards fold
+    exactly at any count. Violations raise [Invalid_argument]; the
+    merged pyramid remains open for further [push]es. *)
 
 type snapshot
 
 val snapshot : t -> snapshot
 (** Immutable copy of the current analysis state. The pyramid is not
-    perturbed and stays open; snapshots may outlive it. *)
+    perturbed and stays open; snapshots may outlive it. Raises
+    [Invalid_argument] if [t] has registered levels. *)
 
 val snapshot_count : snapshot -> int
 (** Raw values the snapshot has absorbed. *)
 
-val snapshot_registered : snapshot -> int list
-
 val merge_into : t -> snapshot -> unit
 (** [merge_into dst s]: append [s]'s stream after [dst]'s, in place.
-    Raises [Invalid_argument] if the operands track different
-    registered levels or the alignment contract above is violated.
-    Merging into an empty pyramid adopts the snapshot wholesale. *)
+    Raises [Invalid_argument] if [dst] has registered levels or the
+    alignment contract above is violated. Merging into an empty pyramid
+    adopts the snapshot wholesale. *)
 
 val of_snapshot : snapshot -> t
-(** A live pyramid equal to the snapshotted state (same registered
-    levels), open for further pushes. *)
+(** A live level-free pyramid equal to the snapshotted state
+    ([create ()] then {!merge_into}), open for further pushes. *)
 
 val merge : snapshot -> snapshot -> snapshot
 (** Pure form: [snapshot] of [of_snapshot a] merged with [b]. *)
@@ -158,8 +155,9 @@ val merge : snapshot -> snapshot -> snapshot
     with floats as raw IEEE bits, so deserialization is the exact
     inverse of serialization on every field — a round-tripped snapshot
     merges bit-for-bit like the original. Version 2 added the per-level
-    wavelet detail energies; workers and coordinator are always the
-    same binary, so no cross-version compatibility is kept. *)
+    wavelet detail energies; version 3 dropped the registered-level
+    section. Workers and coordinator are always the same binary, so no
+    cross-version compatibility is kept. *)
 
 val snapshot_to_string : snapshot -> string
 

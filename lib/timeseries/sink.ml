@@ -8,18 +8,12 @@ type 'a t = {
 let make ?(name = "sink") ~push ~finish () =
   { push_ = push; finish_ = finish; name; finished = false }
 
-let is_finished t = t.finished
-
 let push t chunk =
   if t.finished then
     invalid_arg
       (Printf.sprintf "Sink.push: %S already finished (lifecycle violation)"
          t.name);
   t.push_ chunk
-
-let push_slice t xs pos len =
-  if len = Array.length xs && pos = 0 then push t xs
-  else if len > 0 then push t (Array.sub xs pos len)
 
 let finish t =
   if t.finished then
@@ -28,11 +22,6 @@ let finish t =
          t.name);
   t.finished <- true;
   t.finish_ ()
-
-let map f s =
-  make ~name:s.name ~push:(fun chunk -> push s chunk)
-    ~finish:(fun () -> f (finish s))
-    ()
 
 let tee a b =
   make

@@ -3,14 +3,14 @@
     A sink receives a stream of float chunks ({!push}) and produces a
     final result ({!finish}); generators expose [iter_chunks]-style
     producers and never materialise the full series, so a 10^8-event
-    trace can be binned, pyramided, R/S-analysed and queued in
-    O(levels + chunk) memory.
+    trace can be binned, pyramided and R/S-analysed in O(levels +
+    chunk) memory.
 
     Lifecycle: [make] → [push]* → [finish], exactly once. The type is
     abstract and the transitions are checked — pushing after [finish],
     or finishing twice, raises [Invalid_argument] naming the sink
     instead of silently corrupting downstream state. Combinators
-    ([map], [tee], [counts]) finish their inner sinks through the same
+    ([tee], [counts]) finish their inner sinks through the same
     checked path, so a lifecycle violation anywhere in a sink tree
     surfaces at the offending node.
 
@@ -33,18 +33,9 @@ val push : 'a t -> float array -> unit
 (** Feed one chunk. Raises [Invalid_argument] once the sink is
     finished. *)
 
-val push_slice : 'a t -> float array -> int -> int -> unit
-(** [push_slice t xs pos len]: feed [xs.(pos .. pos+len-1)] (copies
-    unless the slice is the whole array). *)
-
 val finish : 'a t -> 'a
 (** Produce the final result and close the sink. Raises
     [Invalid_argument] on a second call. *)
-
-val is_finished : 'a t -> bool
-
-val map : ('a -> 'b) -> 'a t -> 'b t
-(** Post-compose on the result of [finish]. *)
 
 val tee : 'a t -> 'b t -> ('a * 'b) t
 (** Duplicate every chunk into both sinks. *)

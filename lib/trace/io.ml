@@ -1,55 +1,74 @@
-let to_channel oc (t : Record.t) =
-  Printf.fprintf oc "# trace\t%s\n" t.name;
-  Printf.fprintf oc "# span\t%.6f\n" t.span;
-  Array.iter
-    (fun (c : Record.connection) ->
-      Printf.fprintf oc "%.6f\t%.6f\t%s\t%.1f\t%d\n" c.start c.duration
-        (Record.protocol_to_string c.protocol)
-        c.bytes c.session_id)
-    t.connections
+let save path (t : Record.t) =
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc "# trace\t%s\n" t.name;
+      Printf.fprintf oc "# span\t%.6f\n" t.span;
+      Array.iter
+        (fun (c : Record.connection) ->
+          Printf.fprintf oc "%.6f\t%.6f\t%s\t%.1f\t%d\n" c.start c.duration
+            (Record.protocol_to_string c.protocol)
+            c.bytes c.session_id)
+        t.connections)
 
-let save path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> to_channel oc t)
+(* A malformed line: its 1-based number and what is wrong with it. *)
+exception Bad of int * string
 
-let parse_line line_no line =
-  match String.split_on_char '\t' line with
-  | [ start; duration; proto; bytes; session ] -> (
-    match Record.protocol_of_string proto with
-    | None -> failwith (Printf.sprintf "line %d: unknown protocol %s" line_no proto)
-    | Some protocol ->
-      {
-        Record.start = float_of_string start;
-        duration = float_of_string duration;
-        protocol;
-        bytes = float_of_string bytes;
-        session_id = int_of_string session;
-      })
-  | _ -> failwith (Printf.sprintf "line %d: expected 5 fields" line_no)
+let number line what s =
+  match float_of_string_opt s with
+  | Some x when Float.is_finite x -> x
+  | _ ->
+    raise (Bad (line, Printf.sprintf "%s %S is not a finite number" what s))
 
-let of_channel ic =
-  let header_field expected line =
-    match String.split_on_char '\t' line with
-    | [ tag; value ] when tag = "# " ^ expected -> value
-    | _ -> failwith ("bad header, expected " ^ expected)
-  in
-  let name = header_field "trace" (input_line ic) in
-  let span = float_of_string (header_field "span" (input_line ic)) in
-  let conns = ref [] in
-  let line_no = ref 2 in
-  (try
-     while true do
-       incr line_no;
-       let line = input_line ic in
-       if line <> "" then conns := parse_line !line_no line :: !conns
-     done
-   with End_of_file -> ());
-  Record.create ~name ~span (List.rev !conns)
+let integer line what s =
+  match int_of_string_opt s with
+  | Some i -> i
+  | None -> raise (Bad (line, Printf.sprintf "%s %S is not an integer" what s))
+
+let protocol line s =
+  match Record.protocol_of_string s with
+  | Some p -> p
+  | None -> raise (Bad (line, "unknown protocol " ^ s))
+
+let read_table path ~kind ~fields row =
+  match
+    In_channel.with_open_text path (fun ic ->
+        let header line tag =
+          match In_channel.input_line ic with
+          | None -> raise (Bad (line, "empty file or missing header"))
+          | Some l -> (
+            match String.split_on_char '\t' l with
+            | [ t; value ] when t = "# " ^ tag -> value
+            | _ -> raise (Bad (line, "bad header, expected \"# " ^ tag ^ "\"")))
+        in
+        let name = header 1 kind in
+        let span = number 2 "span" (header 2 "span") in
+        let rec rows line acc =
+          match In_channel.input_line ic with
+          | None -> List.rev acc
+          | Some "" -> rows (line + 1) acc
+          | Some l ->
+            let fs = Array.of_list (String.split_on_char '\t' l) in
+            if Array.length fs <> fields then
+              raise
+                (Bad
+                   ( line,
+                     Printf.sprintf "expected %d fields, got %d" fields
+                       (Array.length fs) ));
+            rows (line + 1) (row line fs :: acc)
+        in
+        (name, span, rows 3 []))
+  with
+  | table -> Ok table
+  | exception Bad (line, why) ->
+    Error (Printf.sprintf "%s:%d: %s" path line why)
+  | exception Sys_error msg -> Error msg
 
 let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> of_channel ic)
+  read_table path ~kind:"trace" ~fields:5 (fun line fs ->
+      {
+        Record.start = number line "start" fs.(0);
+        duration = number line "duration" fs.(1);
+        protocol = protocol line fs.(2);
+        bytes = number line "bytes" fs.(3);
+        session_id = integer line "session" fs.(4);
+      })
+  |> Result.map (fun (name, span, conns) -> Record.create ~name ~span conns)

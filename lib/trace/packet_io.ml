@@ -46,35 +46,9 @@ let save path t =
         t.packets)
 
 let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let header_field expected line =
-        match String.split_on_char '\t' line with
-        | [ tag; value ] when tag = "# " ^ expected -> value
-        | _ -> failwith ("bad packet-trace header, expected " ^ expected)
-      in
-      let name = header_field "pkttrace" (input_line ic) in
-      let span = float_of_string (header_field "span" (input_line ic)) in
-      let packets = ref [] in
-      let line_no = ref 2 in
-      (try
-         while true do
-           incr line_no;
-           let line = input_line ic in
-           if line <> "" then
-             match String.split_on_char '\t' line with
-             | [ time; proto ] -> (
-               match Record.protocol_of_string proto with
-               | Some p -> packets := (float_of_string time, p) :: !packets
-               | None ->
-                 failwith
-                   (Printf.sprintf "line %d: unknown protocol %s" !line_no
-                      proto))
-             | _ -> failwith (Printf.sprintf "line %d: expected 2 fields" !line_no)
-         done
-       with End_of_file -> ());
-      let packets = Array.of_list (List.rev !packets) in
-      Array.sort (fun (a, _) (b, _) -> compare a b) packets;
-      { name; span; packets })
+  Io.read_table path ~kind:"pkttrace" ~fields:2 (fun line fs ->
+      (Io.number line "time" fs.(0), Io.protocol line fs.(1)))
+  |> Result.map (fun (name, span, packets) ->
+         let packets = Array.of_list packets in
+         Array.sort (fun (a, _) (b, _) -> compare a b) packets;
+         { name; span; packets })

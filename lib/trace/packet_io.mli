@@ -17,5 +17,5 @@ val times : t -> ?protocol:Record.protocol -> unit -> float array
 (** All packet times, optionally restricted to one protocol. *)
 
 val save : string -> t -> unit
-val load : string -> t
-(** Raises [Failure] on malformed input. *)
+val load : string -> (t, string) result
+(** [Error "FILE:LINE: reason"] on malformed input, as {!Io.load}. *)

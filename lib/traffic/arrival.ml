@@ -89,18 +89,3 @@ let thin ~keep rng xs =
 let interarrivals xs =
   assert (Array.length xs >= 2);
   Array.init (Array.length xs - 1) (fun i -> xs.(i + 1) -. xs.(i))
-
-let iter_chunks ?(chunk = 65536) xs f =
-  let chunk = Int.max 1 chunk in
-  let n = Array.length xs in
-  if n <= chunk then begin
-    if n > 0 then f xs
-  end
-  else begin
-    let pos = ref 0 in
-    while !pos < n do
-      let len = Int.min chunk (n - !pos) in
-      f (Array.sub xs !pos len);
-      pos := !pos + len
-    done
-  end

@@ -17,8 +17,3 @@ val interarrivals : float array -> float array
 (** Successive differences; requires at least 2 events. *)
 
 val is_sorted : float array -> bool
-
-val iter_chunks : ?chunk:int -> float array -> (float array -> unit) -> unit
-(** Feed an already-materialised process to a chunked consumer in slices
-    of at most [chunk] (default 65536): the adapter between the array
-    world and streaming sinks. An empty array produces no calls. *)

@@ -1,9 +1,10 @@
 (* Structure-of-arrays binary min-heap: float keys in a [float array]
    (unboxed storage), int payloads in an [int array]. This is the one
-   float-keyed heap in the repo: [Arrival.merge]'s k-way merge and
-   [Superpose]'s source scheduler use it directly, and the generic
-   [Queueing.Heap] is a facade that maps its ['a] payloads to slot
-   indices. Keeping keys and payloads in parallel primitive arrays means
+   float-keyed heap in the repo: [Arrival.merge]'s k-way merge,
+   [Superpose]'s source scheduler and [Mg_inf]'s departure-index heap
+   (int sample indices as exact float keys) use it directly, and the
+   generic [Queueing.Heap] is a facade that maps its ['a] payloads to
+   slot indices. Keeping keys and payloads in parallel primitive arrays means
    no per-element tuples or boxed floats, which is what the zero-alloc
    queueing fast path needs: [push], [min_key], [min_val], [pop_min] and
    [replace_min] allocate nothing once the arrays have grown to peak
@@ -21,7 +22,6 @@ let create ?(cap = 16) () =
 
 let size t = t.size
 let is_empty t = t.size = 0
-let clear t = t.size <- 0
 
 (* Precondition for both: [size t > 0]; unchecked like any array read,
    the heap's own bounds check is the guard. *)
@@ -36,51 +36,57 @@ let grow t =
   t.keys <- keys;
   t.vals <- vals
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if t.keys.(i) < t.keys.(p) then begin
-      let k = t.keys.(i) and v = t.vals.(i) in
-      t.keys.(i) <- t.keys.(p);
-      t.vals.(i) <- t.vals.(p);
-      t.keys.(p) <- k;
-      t.vals.(p) <- v;
-      sift_up t p
-    end
-  end
+(* Both sifts move a hole instead of swapping: each level on the path
+   costs one key and one payload write, and the moving element is
+   stored once at the end. The comparisons, and so the final layout,
+   are those of the swapping sift. *)
+let[@inline] sift_up t i key v =
+  let keys = t.keys and vals = t.vals in
+  let i = ref i in
+  while
+    !i > 0
+    &&
+    let p = (!i - 1) / 2 in
+    key < keys.(p)
+  do
+    let p = (!i - 1) / 2 in
+    keys.(!i) <- keys.(p);
+    vals.(!i) <- vals.(p);
+    i := p
+  done;
+  keys.(!i) <- key;
+  vals.(!i) <- v
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 in
-  let r = l + 1 in
-  let m = if l < t.size && t.keys.(l) < t.keys.(i) then l else i in
-  let m = if r < t.size && t.keys.(r) < t.keys.(m) then r else m in
-  if m <> i then begin
-    let k = t.keys.(i) and v = t.vals.(i) in
-    t.keys.(i) <- t.keys.(m);
-    t.vals.(i) <- t.vals.(m);
-    t.keys.(m) <- k;
-    t.vals.(m) <- v;
-    sift_down t m
-  end
+let[@inline] sift_down t i key v =
+  let keys = t.keys and vals = t.vals and size = t.size in
+  let i = ref i and continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    let r = l + 1 in
+    let m = if l < size && keys.(l) < key then l else !i in
+    let m =
+      if r < size && keys.(r) < if m = !i then key else keys.(m) then r
+      else m
+    in
+    if m = !i then continue := false
+    else begin
+      keys.(!i) <- keys.(m);
+      vals.(!i) <- vals.(m);
+      i := m
+    end
+  done;
+  keys.(!i) <- key;
+  vals.(!i) <- v
 
 let[@inline] push t key v =
   if t.size = Array.length t.keys then grow t;
   let i = t.size in
-  t.keys.(i) <- key;
-  t.vals.(i) <- v;
   t.size <- i + 1;
-  sift_up t i
+  sift_up t i key v
 
 let pop_min t =
   let n = t.size - 1 in
   t.size <- n;
-  if n > 0 then begin
-    t.keys.(0) <- t.keys.(n);
-    t.vals.(0) <- t.vals.(n);
-    sift_down t 0
-  end
+  if n > 0 then sift_down t 0 t.keys.(n) t.vals.(n)
 
-let[@inline] replace_min t key v =
-  t.keys.(0) <- key;
-  t.vals.(0) <- v;
-  sift_down t 0
+let[@inline] replace_min t key v = sift_down t 0 key v

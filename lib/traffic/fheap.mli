@@ -2,7 +2,10 @@
 
     The shared index-heap under every float-keyed scheduler in the repo:
     {!Arrival.merge}'s k-way merge, {!Superpose}'s per-source event
-    scheduler, and (through a slot-index facade) the generic
+    scheduler, {!Mg_inf}'s departure heap (integer sample indices as
+    exact float keys — only popped key values matter, so the counts
+    are those of an int heap), and (through a slot-index facade) the
+    generic
     [Queueing.Heap]. Keys live in a [float array] and payloads in an
     [int array], so no operation ever allocates a tuple, an option or a
     boxed float; after the backing arrays reach peak size, every
@@ -17,9 +20,6 @@ val create : ?cap:int -> unit -> t
 
 val size : t -> int
 val is_empty : t -> bool
-
-val clear : t -> unit
-(** Forget all elements, keeping the backing arrays. *)
 
 val push : t -> float -> int -> unit
 

@@ -1,54 +1,3 @@
-(* Min-heap of departure sample indices for customers still in the
-   system; size is the instantaneous count. O(active customers) memory,
-   i.e. ~ rate * mean service, independent of the trace length. *)
-module Heap = struct
-  type t = { mutable a : int array; mutable size : int }
-
-  let create () = { a = Array.make 256 0; size = 0 }
-
-  let push h v =
-    if h.size = Array.length h.a then begin
-      let bigger = Array.make (2 * h.size) 0 in
-      Array.blit h.a 0 bigger 0 h.size;
-      h.a <- bigger
-    end;
-    h.a.(h.size) <- v;
-    h.size <- h.size + 1;
-    let i = ref (h.size - 1) in
-    let continue = ref true in
-    while !continue && !i > 0 do
-      let p = (!i - 1) / 2 in
-      if h.a.(!i) < h.a.(p) then begin
-        let tmp = h.a.(!i) in
-        h.a.(!i) <- h.a.(p);
-        h.a.(p) <- tmp;
-        i := p
-      end
-      else continue := false
-    done
-
-  let min h = h.a.(0)
-
-  let pop h =
-    h.size <- h.size - 1;
-    h.a.(0) <- h.a.(h.size);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let m = ref !i in
-      if l < h.size && h.a.(l) < h.a.(!m) then m := l;
-      if r < h.size && h.a.(r) < h.a.(!m) then m := r;
-      if !m <> !i then begin
-        let tmp = h.a.(!i) in
-        h.a.(!i) <- h.a.(!m);
-        h.a.(!m) <- tmp;
-        i := !m
-      end
-      else continue := false
-    done
-end
-
 let iter_chunks ?(chunk = 65536) ~rate ~service ~dt ~n ?warmup rng f =
   assert (rate > 0. && dt > 0. && n > 0);
   let span = float_of_int n *. dt in
@@ -60,7 +9,10 @@ let iter_chunks ?(chunk = 65536) ~rate ~service ~dt ~n ?warmup rng f =
     let k = Float.ceil ((time -. warmup) /. dt) in
     int_of_float (Float.max 0. k)
   in
-  let departures = Heap.create () in
+  (* Departure sample indices of customers still in the system, as
+     exact float keys in the shared heap; O(active customers) memory,
+     i.e. ~ rate * mean service, independent of the trace length. *)
+  let departures = Fheap.create ~cap:256 () in
   let active = ref 0 in
   (* One arrival of lookahead: [pending] is the entry index of the next
      arrival not yet counted in [active]; [exhausted] once the gap draw
@@ -80,7 +32,7 @@ let iter_chunks ?(chunk = 65536) ~rate ~service ~dt ~n ?warmup rng f =
       let i1 = Int.min n (index_of dep) in
       if dep > warmup && i1 > i0 then begin
         pending := i0;
-        Heap.push departures i1
+        Fheap.push departures (float_of_int i1) 0
         (* The pending arrival's departure is already in the heap; it
            cannot precede i0, so it is never popped before the arrival
            is activated. *)
@@ -100,8 +52,11 @@ let iter_chunks ?(chunk = 65536) ~rate ~service ~dt ~n ?warmup rng f =
       if !pending >= 0 then incr active;
       draw_next ()
     done;
-    while departures.Heap.size > 0 && Heap.min departures <= k do
-      Heap.pop departures;
+    while
+      (not (Fheap.is_empty departures))
+      && Fheap.min_key departures <= float_of_int k
+    do
+      Fheap.pop_min departures;
       decr active
     done;
     buf.(!fill) <- float_of_int !active;

@@ -78,6 +78,9 @@ let check_cli_rows rows =
           (contains_sub out_text "Reproduction harness"))
     rows
 
+(* The value of an [Ok], or the test fails naming the [Error]. *)
+let get_ok = function Ok x -> x | Error e -> Alcotest.fail e
+
 let prop ?(count = 200) name gen law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen law)
 

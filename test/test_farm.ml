@@ -113,9 +113,9 @@ let test_frame_read_channel () =
 
 (* ---------------- pyramid snapshot codec ---------------- *)
 
-let random_snapshot ?(levels = []) seed =
+let random_snapshot seed =
   let r = rng ~seed () in
-  let pyr = Timeseries.Pyramid.create ~levels () in
+  let pyr = Timeseries.Pyramid.create () in
   for _ = 1 to 1 + Prng.Rng.int r 6 do
     let n = 1 + Prng.Rng.int r 700 in
     Timeseries.Pyramid.push pyr
@@ -125,8 +125,7 @@ let random_snapshot ?(levels = []) seed =
 
 let test_snapshot_codec_roundtrip () =
   for seed = 1 to 30 do
-    let levels = if seed mod 3 = 0 then [ 10; 100 ] else [] in
-    let s = random_snapshot ~levels seed in
+    let s = random_snapshot seed in
     let wire = Timeseries.Pyramid.snapshot_to_string s in
     match Timeseries.Pyramid.snapshot_of_string wire with
     | Error e -> Alcotest.fail e

@@ -350,85 +350,6 @@ let test_rng_fill_float_equals_float () =
   check_invalid_arg "bad slice" "Rng.fill_float" (fun () ->
       Prng.Rng.fill_float r2 b 500 501)
 
-(* ---------------- bounded-memory sinks at 1e7 ---------------- *)
-
-let live_words () =
-  Gc.full_major ();
-  (Gc.stat ()).Gc.live_words
-
-let run_sink_1e7 make_sink feed =
-  let sink = make_sink () in
-  let base = live_words () in
-  let peak = ref 0 in
-  let chunks = ref 0 in
-  Traffic.Poisson_proc.iter_chunks ~rate:1000. ~duration:1e4
-    (rng ~seed:71 ())
-    (fun times ->
-      feed sink times;
-      incr chunks;
-      if !chunks mod 40 = 0 then peak := Int.max !peak (live_words () - base));
-  peak := Int.max !peak (live_words () - base);
-  (sink, !peak)
-
-let test_fifo_sink_bounded_memory () =
-  (* ~1e7 arrivals streamed through the Lindley sink: peak live growth
-     must stay O(queue depth + sketch), far below the ~1e7 words a
-     materialized trace would cost. *)
-  let served = ref 0 in
-  let sink, peak =
-    run_sink_1e7
-      (fun () ->
-        Queueing.Fifo.sink ~service:(fun r -> 0.0005 *. Prng.Rng.float_pos r)
-          (rng ~seed:72 ()))
-      (fun sink times -> Timeseries.Sink.push sink times)
-  in
-  let stats = Timeseries.Sink.finish sink in
-  served := stats.Queueing.Fifo.n;
-  check_true "served ~1e7"
-    (!served > 9_900_000 && !served < 10_100_000);
-  check_true
-    (Printf.sprintf "fifo sink peak live growth %d words < 2e6" peak)
-    (peak < 2_000_000)
-
-let test_mgk_sink_bounded_memory () =
-  let sink, peak =
-    run_sink_1e7
-      (fun () ->
-        Queueing.Mgk.sink ~k:4
-          ~service:(fun r -> 0.002 *. Prng.Rng.float_pos r)
-          (rng ~seed:73 ()))
-      (fun sink times -> Timeseries.Sink.push sink times)
-  in
-  let stats = Timeseries.Sink.finish sink in
-  check_true "served ~1e7"
-    (stats.Queueing.Mgk.served > 9_900_000
-     && stats.Queueing.Mgk.served < 10_100_000);
-  check_true
-    (Printf.sprintf "mgk sink peak live growth %d words < 2e6" peak)
-    (peak < 2_000_000)
-
-let test_mgk_sink_equals_simulate () =
-  let arrivals = poisson_arrivals ~seed:74 ~rate:100. ~duration:200. in
-  let service r = 0.02 *. Prng.Rng.float_pos r in
-  let a =
-    Queueing.Mgk.simulate ~k:3 ~arrivals ~service (rng ~seed:75 ())
-  in
-  let sink = Queueing.Mgk.sink ~k:3 ~service (rng ~seed:75 ()) in
-  let pos = ref 0 in
-  while !pos < Array.length arrivals do
-    let len = Int.min 997 (Array.length arrivals - !pos) in
-    Timeseries.Sink.push_slice sink arrivals !pos len;
-    pos := !pos + len
-  done;
-  let b = Timeseries.Sink.finish sink in
-  check_int "served" a.Queueing.Mgk.served b.Queueing.Mgk.served;
-  check_float_exact "mean wait" a.Queueing.Mgk.mean_wait
-    b.Queueing.Mgk.mean_wait;
-  check_float_exact "max wait" a.Queueing.Mgk.max_wait
-    b.Queueing.Mgk.max_wait;
-  check_float_exact "mean in system" a.Queueing.Mgk.mean_in_system
-    b.Queueing.Mgk.mean_in_system
-
 (* ---------------- Core.Netsim ---------------- *)
 
 let small_nspec =
@@ -596,11 +517,6 @@ let suite =
       tc "red drop probability monotone" test_red_drop_prob_monotone;
       tc "sketch add_slice = repeated add" test_sketch_add_slice_equals_add;
       tc "rng fill_float = repeated float" test_rng_fill_float_equals_float;
-      tc "fifo sink: 1e7 arrivals in bounded memory"
-        test_fifo_sink_bounded_memory;
-      tc "mgk sink: 1e7 arrivals in bounded memory"
-        test_mgk_sink_bounded_memory;
-      tc "mgk sink = simulate, bit for bit" test_mgk_sink_equals_simulate;
       tc "netsim spec validation" test_netsim_spec_validation;
       tc "netsim run_inline deterministic" test_netsim_inline_deterministic;
       tc "netsim processes = inline (workers 1/2/5)"

@@ -224,7 +224,7 @@ let prop_io_roundtrip =
       let t = Trace.Record.create ~name:"prop" ~span:2000. conns in
       let path = Filename.temp_file "prop" ".tsv" in
       Trace.Io.save path t;
-      let t' = Trace.Io.load path in
+      let t' = get_ok (Trace.Io.load path) in
       Sys.remove path;
       Array.length t.Trace.Record.connections
       = Array.length t'.Trace.Record.connections

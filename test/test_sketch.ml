@@ -227,65 +227,6 @@ let test_codec_rejects () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "corrupt bucket count accepted")
 
-(* The FIFO pinned bound: the sink's sketch-backed p50/p99/p999 agree
-   with the materialized waiting-time array within the sketch's
-   documented rank-exact / value-relative bound. The Lindley recursion
-   is replayed here so the exact order statistics are available. *)
-let test_fifo_sketch_bound () =
-  let r = rng ~seed:404 () in
-  let n = 20_000 in
-  let arrivals = Array.make n 0. in
-  let t = ref 0. in
-  for i = 0 to n - 1 do
-    (* rho ~ 0.9: mean interarrival 1.0, service 0.9 *)
-    t := !t +. -.Float.log (1e-300 +. Prng.Rng.float r);
-    arrivals.(i) <- !t
-  done;
-  let service_time = 0.9 in
-  (* exact waits via the same recursion *)
-  let waits = Array.make n 0. in
-  let last_dep = ref neg_infinity in
-  for i = 0 to n - 1 do
-    let start = Float.max arrivals.(i) !last_dep in
-    waits.(i) <- start -. arrivals.(i);
-    last_dep := start +. service_time
-  done;
-  Array.sort compare waits;
-  let sink =
-    Queueing.Fifo.sink ~service:(fun _ -> service_time) (rng ~seed:0 ())
-  in
-  (* push in uneven chunks to exercise the chunked path *)
-  let pos = ref 0 in
-  while !pos < n do
-    let len = Stdlib.min (n - !pos) (1 + ((!pos / 100) mod 977)) in
-    Timeseries.Sink.push sink (Array.sub arrivals !pos len);
-    pos := !pos + len
-  done;
-  let s = Timeseries.Sink.finish sink in
-  let exact =
-    Queueing.Fifo.simulate_const ~arrivals ~service_time ()
-  in
-  check_int "served" n s.Queueing.Fifo.n;
-  check_close "mean_wait exact" exact.Queueing.Fifo.mean_wait
-    s.Queueing.Fifo.mean_wait;
-  check_close "max_wait exact" exact.Queueing.Fifo.max_wait
-    s.Queueing.Fifo.max_wait;
-  let accuracy = 0.01 in
-  List.iter
-    (fun (q, got) ->
-      let rank =
-        Stdlib.min n (Stdlib.max 1 (int_of_float (Float.ceil (q *. float_of_int n))))
-      in
-      let x = waits.(rank - 1) in
-      if Float.abs (got -. x) > (accuracy *. x) +. 1e-12 then
-        Alcotest.failf "p%g: sink %.17g vs exact rank stat %.17g" (q *. 100.)
-          got x)
-    [
-      (0.5, s.Queueing.Fifo.p50_wait);
-      (0.99, s.Queueing.Fifo.p99_wait);
-      (0.999, s.Queueing.Fifo.p999_wait);
-    ]
-
 let suite =
   ( "sketch",
     [
@@ -296,6 +237,4 @@ let suite =
       tc "merge-tree invariance (bit-exact)" test_merge_tree_invariance;
       tc "wire codec round-trip" test_codec_roundtrip;
       tc "wire codec rejects malformed input" test_codec_rejects;
-      tc "fifo sink quantiles within documented bound"
-        test_fifo_sketch_bound;
     ] )

@@ -57,39 +57,10 @@ let test_summary_string () =
   let s = Descriptive.summary data in
   check_true "mentions n" (String.length s > 0 && String.sub s 0 2 = "n=")
 
-(* ---------------- Histogram ---------------- *)
-
-let test_histogram_linear () =
-  let h = Histogram.create ~lo:0. ~hi:10. ~bins:5 in
-  Histogram.add_all h [| 0.; 1.9; 2.; 9.99; -1.; 10.; 100. |];
-  check_int "bin 0" 2 (Histogram.count h 0);
-  check_int "bin 1" 1 (Histogram.count h 1);
-  check_int "bin 4" 1 (Histogram.count h 4);
-  check_int "underflow" 1 (Histogram.underflow h);
-  check_int "overflow" 2 (Histogram.overflow h);
-  check_int "total includes outliers" 7 (Histogram.total h);
-  check_close "bin edges" 2. (Histogram.bin_lo h 1);
-  check_close "bin mid" 3. (Histogram.bin_mid h 1)
-
-let test_histogram_log () =
-  let h = Histogram.create_log ~lo:1. ~hi:1000. ~bins:3 in
-  Histogram.add_all h [| 1.; 5.; 50.; 500.; 0.5; 0. |];
-  check_int "decade 1" 2 (Histogram.count h 0);
-  check_int "decade 2" 1 (Histogram.count h 1);
-  check_int "decade 3" 1 (Histogram.count h 2);
-  check_int "underflow includes nonpositive" 2 (Histogram.underflow h);
-  check_close "log bin edge" 10. (Histogram.bin_lo h 1);
-  check_close "log bin mid is geometric" (sqrt 1000.) (Histogram.bin_mid h 1)
-
-let test_histogram_density () =
-  let h = Histogram.create ~lo:0. ~hi:1. ~bins:2 in
-  Histogram.add_all h [| 0.1; 0.2; 0.3; 0.8 |];
-  check_close "density integrates to 1"
-    1.
-    ((Histogram.density h 0 +. Histogram.density h 1) *. 0.5)
+(* ---------------- Empirical CDF grid ---------------- *)
 
 let test_ecdf_grid () =
-  let pts = Histogram.ecdf_grid [| 1.; 2.; 3. |] [| 0.; 1.; 2.5; 5. |] in
+  let pts = Descriptive.ecdf_grid [| 1.; 2.; 3. |] [| 0.; 1.; 2.5; 5. |] in
   Alcotest.(check (array (pair (float 1e-12) (float 1e-12))))
     "ecdf values"
     [| (0., 0.); (1., 1. /. 3.); (2.5, 2. /. 3.); (5., 1.) |]
@@ -252,9 +223,6 @@ let suite =
       tc "iid autocorrelations small" test_autocorrelations_iid;
       tc "diffs" test_diffs;
       tc "summary string" test_summary_string;
-      tc "histogram linear" test_histogram_linear;
-      tc "histogram log" test_histogram_log;
-      tc "histogram density" test_histogram_density;
       tc "ecdf grid" test_ecdf_grid;
       tc "ols exact line" test_ols_exact_line;
       tc "ols noisy" test_ols_noisy;

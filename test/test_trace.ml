@@ -204,7 +204,7 @@ let test_io_roundtrip () =
   in
   let path = Filename.temp_file "trace" ".tsv" in
   Io.save path t;
-  let t' = Io.load path in
+  let t' = get_ok (Io.load path) in
   Sys.remove path;
   Alcotest.(check string) "name" t.Record.name t'.Record.name;
   check_close "span" t.Record.span t'.Record.span;
@@ -219,9 +219,49 @@ let test_io_rejects_garbage () =
   let oc = open_out path in
   output_string oc "not a header\n";
   close_out oc;
-  Alcotest.check_raises "bad header" (Failure "bad header, expected trace")
-    (fun () -> ignore (Io.load path));
+  (match Io.load path with
+  | Ok _ -> Alcotest.fail "bad header accepted"
+  | Error e ->
+    check_true "names file, line and header"
+      (e = path ^ ":1: bad header, expected \"# trace\""));
   Sys.remove path
+
+(* Bad trace files through the trace commands: each names FILE:LINE and
+   the reason on stderr and exits 2 — no uncaught exception, no silently
+   parsed nan. So does a file too thin for the analysis. *)
+let test_cli_bad_trace_files () =
+  let file text =
+    let path = Filename.temp_file "trace" ".tsv" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    at_exit (fun () -> Sys.remove path);
+    path
+  in
+  let header = "# trace\tbad\n# span\t100.0\n" in
+  let row = "1.000000\t2.000000\ttelnet\t10.0\t1\n" in
+  let empty = file "" in
+  let truncated = file (header ^ row ^ "3.000000\t1.000000\n") in
+  let nan_start = file (header ^ "nan\t2.000000\ttelnet\t10.0\t1\n") in
+  let gopher = file (header ^ "1.0\t2.0\tgopher\t10.0\t1\n") in
+  let packets =
+    file "# pkttrace\tbad\n# span\t10.0\n0.5\ttelnet\n1.0\tgopher\n"
+  in
+  let thin = file (header ^ row ^ row) in
+  let rows cmd =
+    [
+      (cmd ^ " " ^ empty, 2, [ empty ^ ":1: empty file" ]);
+      (cmd ^ " " ^ truncated, 2, [ truncated ^ ":4: expected 5 fields" ]);
+      (cmd ^ " " ^ nan_start, 2, [ nan_start ^ ":3: start \"nan\" is not" ]);
+      (cmd ^ " " ^ gopher, 2, [ gopher ^ ":3: unknown protocol gopher" ]);
+    ]
+  in
+  check_cli_rows
+    (List.concat_map rows [ "check"; "hurst"; "analyze"; "summary" ]
+    @ [
+        ("check " ^ packets, 2, [ packets ^ ":4: unknown protocol gopher" ]);
+        ("check " ^ thin, 2, [ "too few arrivals to test" ]);
+        ("hurst " ^ thin, 2, [ "too few arrivals for LRD analysis" ]);
+        ("analyze " ^ thin, 2, [ "too few arrivals for a full analysis" ]);
+      ])
 
 (* ---------------- Packet dataset ---------------- *)
 
@@ -312,6 +352,7 @@ let suite =
       tc "ftp arrival kinds" test_ftp_arrival_kinds;
       tc "io roundtrip" test_io_roundtrip;
       tc "io rejects garbage" test_io_rejects_garbage;
+      tc "cli: bad trace files exit 2" test_cli_bad_trace_files;
       tc "packet catalog" test_packet_catalog;
       tc "packet generate" test_packet_generate;
       tc "packets of conn" test_packets_of_conn;

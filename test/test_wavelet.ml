@@ -203,6 +203,23 @@ let test_estimate_rejects_degenerate_window () =
       Lrd.Wavelet.estimate ~j_lo:5 ~j_hi:4
         (Array.init 4096 (fun _ -> Prng.Rng.float r)))
 
+let test_zero_energy_octave_skipped () =
+  (* Octaves 2..6 on an exact H = 0.8 line (slope 0.6), except octave 4,
+     whose energy is zero: the fit skips it like an empty octave and
+     recovers the line from the other four, instead of regressing
+     through log2 0. *)
+  let octave j log2_energy = { Lrd.Wavelet.j; n_coeffs = 64; log2_energy } in
+  let line j = octave j (0.6 *. float_of_int j) in
+  let est =
+    Lrd.Wavelet.estimate_octaves
+      [ line 1; line 2; line 3; octave 4 neg_infinity; line 5; line 6 ]
+  in
+  check_close "H from the non-zero octaves" ~eps:1e-12 0.8 est.Lrd.Wavelet.h;
+  check_close "exact fit" ~eps:1e-12 1. est.Lrd.Wavelet.r2;
+  (* A batch series with no variation at all has no usable octave. *)
+  check_invalid_arg "constant series" "Wavelet.estimate" (fun () ->
+      Lrd.Wavelet.estimate (Array.make 4096 3.))
+
 let test_estimate_minimum_viable_length () =
   (* 64 observations is the smallest series the default window accepts:
      octaves 2 and 3 both reach 8 coefficients. *)
@@ -267,6 +284,7 @@ let suite =
       tc "decompose rejects short" test_decompose_rejects_short;
       tc "estimate rejects degenerate window"
         test_estimate_rejects_degenerate_window;
+      tc "zero-energy octave skipped" test_zero_energy_octave_skipped;
       tc "minimum viable length" test_estimate_minimum_viable_length;
       tc "streaming result carries wavelet"
         test_streaming_result_carries_wavelet;
